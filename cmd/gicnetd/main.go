@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,6 +47,12 @@ import (
 )
 
 func main() {
+	// Catch SIGINT/SIGTERM before anything else: a signal that arrives
+	// while the worlds are generating, or once /healthz answers, must
+	// still take the graceful shutdown path.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	log.SetFlags(0)
 	log.SetPrefix("gicnetd: ")
 
@@ -64,8 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("pinning %d world(s): %v", len(seeds), seeds)
-	srv, err := serve.New(serve.Config{
+	cfg := serve.Config{
 		WorldSeeds:      seeds,
 		Shards:          *shards,
 		WorkersPerShard: *workers,
@@ -73,11 +79,57 @@ func main() {
 		PlanCacheCap:    *planCap,
 		MaxTrials:       *maxTrials,
 		Baseline:        *baseline,
-	})
-	if err != nil {
+	}
+	if err := run(ctx, *addr, cfg, nil); err != nil {
+		stop()
 		log.Fatal(err)
 	}
+}
 
+// run pins the worlds, serves HTTP on addr until ctx is cancelled, then
+// shuts down gracefully: in-flight requests get ten seconds to finish and
+// the executor pools are closed. ready, if non-nil, is called with the
+// bound address once the listener accepts connections. A clean shutdown
+// returns nil.
+func run(ctx context.Context, addr string, cfg serve.Config, ready func(net.Addr)) error {
+	log.Printf("pinning %d world(s): %v", len(cfg.WorldSeeds), cfg.WorldSeeds)
+	srv, err := serve.New(cfg)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: newMux(srv)}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	log.Printf("serving on %s", ln.Addr())
+	if ready != nil {
+		ready(ln.Addr())
+	}
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		log.Printf("shutting down")
+	}
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		return fmt.Errorf("http shutdown: %w", err)
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// newMux routes the daemon's three endpoints to srv.
+func newMux(srv *serve.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/scenario", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -108,27 +160,7 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"ok": true, "worlds": len(srv.WorldSeeds())})
 	})
-
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s", *addr)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		srv.Close()
-		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("got %v, shutting down", sig)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	srv.Close()
+	return mux
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

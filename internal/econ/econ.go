@@ -91,6 +91,7 @@ func EstimateOutages(outages []Outage) (*Estimate, error) {
 func (e *Estimate) TopRegions() []geo.Region {
 	regions := make([]geo.Region, 0, len(e.ByRegion))
 	for r := range e.ByRegion {
+		//gicnet:allow crossdet regions are sorted by (cost, region), a total order on unique keys, right after this loop, so map order cannot leak
 		regions = append(regions, r)
 	}
 	sort.Slice(regions, func(i, j int) bool {

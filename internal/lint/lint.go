@@ -109,6 +109,8 @@ func DefaultConfig() Config {
 			"gicnet/internal/dataset",
 			"gicnet/internal/xrand",
 			"gicnet/internal/crosslayer",
+			"gicnet/internal/recovery",
+			"gicnet/internal/scenario",
 		},
 		HotpathAllowCalls: []string{
 			"math",      // pure float kernels: Log, Log1p, Ldexp, ...

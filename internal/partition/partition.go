@@ -240,11 +240,10 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 	// top slice by simulation (evaluating all ~1000 candidates would be
 	// wasteful). Relevance: a bridge can only help the probe pair if its
 	// landings sit near the probes' nodes — one end near each side.
-	probeACoords := coordsOf(net, nodesOf(net, probeA))
-	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	geom := newAugmentGeometry(net, probeA, probeB)
 	prelim := make([]float64, len(cands))
 	for i := range cands {
-		p, err := hypotheticalDeathProb(net, m, spacingKm, cands[i])
+		p, err := hypotheticalDeathProb(net, m, spacingKm, cands[i], geom.backhaul)
 		if err != nil {
 			return nil, err
 		}
@@ -255,8 +254,8 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 			continue
 		}
 		// Best assignment of the two endpoints to the two probe sides.
-		d1 := minDist(fromA.Coord, probeACoords) + minDist(toA.Coord, probeBCoords)
-		d2 := minDist(fromA.Coord, probeBCoords) + minDist(toA.Coord, probeACoords)
+		d1 := geom.probeDist(fromA, 0) + geom.probeDist(toA, 1)
+		d2 := geom.probeDist(fromA, 1) + geom.probeDist(toA, 0)
 		d := d1
 		if d2 < d {
 			d = d2
@@ -271,7 +270,7 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 	}
 	evaluated := cands[:limit]
 	for i := range evaluated {
-		augmented, err := withCandidate(net, evaluated[i])
+		augmented, err := withCandidateVia(net, evaluated[i], geom.backhaul)
 		if err != nil {
 			return nil, err
 		}
@@ -286,6 +285,50 @@ func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int,
 		evaluated = evaluated[:n]
 	}
 	return evaluated, nil
+}
+
+// augmentGeometry memoises, for one Recommend call on one fixed network,
+// the geometry every candidate shares: each anchor's backhaul node
+// (nearestOfCountry, a Haversine scan over every node) and each anchor's
+// distance to either probe side (minDist). Every entry is the function it
+// caches evaluated on the same inputs, so memoising changes no answer.
+// It is only valid while the network does not grow: Compare, which
+// appends candidates one by one, keeps the uncached lookup.
+type augmentGeometry struct {
+	net     *topology.Network
+	nearest map[string]int
+	probes  [2][]geo.Coord
+	dist    [2]map[string]float64
+}
+
+func newAugmentGeometry(net *topology.Network, probeA, probeB string) *augmentGeometry {
+	return &augmentGeometry{
+		net:     net,
+		nearest: map[string]int{},
+		probes:  [2][]geo.Coord{coordsOf(net, nodesOf(net, probeA)), coordsOf(net, nodesOf(net, probeB))},
+		dist:    [2]map[string]float64{{}, {}},
+	}
+}
+
+// backhaul is nearestOfCountry(net, a), computed once per anchor.
+func (g *augmentGeometry) backhaul(a dataset.Anchor) int {
+	if i, ok := g.nearest[a.Name]; ok {
+		return i
+	}
+	i := nearestOfCountry(g.net, a)
+	g.nearest[a.Name] = i
+	return i
+}
+
+// probeDist is minDist from anchor a to probe side 0 (probeA) or 1
+// (probeB), computed once per (anchor, side).
+func (g *augmentGeometry) probeDist(a dataset.Anchor, side int) float64 {
+	if d, ok := g.dist[side][a.Name]; ok {
+		return d
+	}
+	d := minDist(a.Coord, g.probes[side])
+	g.dist[side][a.Name] = d
+	return d
 }
 
 // byScore sorts candidates and their scores together, descending.
@@ -334,16 +377,23 @@ func maxf(a, b float64) float64 {
 // hypotheticalDeathProb computes the death probability a candidate cable
 // would have: its repeaters take the model's probability for a synthetic
 // cable whose highest endpoint is the candidate's.
-func hypotheticalDeathProb(net *topology.Network, m failure.Model, spacingKm float64, c Candidate) (float64, error) {
-	tmp, err := withCandidate(net, c)
+func hypotheticalDeathProb(net *topology.Network, m failure.Model, spacingKm float64, c Candidate, backhaul func(dataset.Anchor) int) (float64, error) {
+	tmp, err := withCandidateVia(net, c, backhaul)
 	if err != nil {
 		return 0, err
 	}
 	return failure.CableDeathProb(tmp, m, spacingKm, len(tmp.Cables)-1)
 }
 
-// withCandidate returns a copy of net with the candidate cable appended.
+// withCandidate returns a copy of net with the candidate cable appended,
+// each landing tied to nearestOfCountry(net, anchor).
 func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error) {
+	return withCandidateVia(net, c, func(a dataset.Anchor) int { return nearestOfCountry(net, a) })
+}
+
+// withCandidateVia is withCandidate with the landings' backhaul nodes
+// chosen by backhaul, which must return nearestOfCountry(net, anchor).
+func withCandidateVia(net *topology.Network, c Candidate, backhaul func(dataset.Anchor) int) (*topology.Network, error) {
 	fromA, okA := dataset.AnchorByName(c.From)
 	toA, okB := dataset.AnchorByName(c.To)
 	if !okA || !okB {
@@ -366,8 +416,8 @@ func withCandidate(net *topology.Network, c Candidate) (*topology.Network, error
 		Name: fmt.Sprintf("candidate-%s-%s", c.From, c.To),
 		Segments: []topology.Segment{
 			{A: a, B: b, LengthKm: c.LengthKm},
-			{A: a, B: nearestOfCountry(net, fromA), LengthKm: 50},
-			{A: b, B: nearestOfCountry(net, toA), LengthKm: 50},
+			{A: a, B: backhaul(fromA), LengthKm: 50},
+			{A: b, B: backhaul(toA), LengthKm: 50},
 		},
 		KnownLength: true,
 	})

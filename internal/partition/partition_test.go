@@ -2,12 +2,16 @@ package partition
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
+	"sort"
 	"testing"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/topology"
+	"gicnet/internal/xrand"
 )
 
 func world(t *testing.T) *dataset.World {
@@ -202,5 +206,172 @@ func TestAnalyzeSyntheticPartition(t *testing.T) {
 	}
 	if f.RegionSplit[geo.RegionEurope] != 1 || f.RegionSplit[geo.RegionSouthAmerica] != 1 {
 		t.Errorf("region split = %v", f.RegionSplit)
+	}
+}
+
+// candidatesFingerprint hashes every field of every candidate in order.
+func candidatesFingerprint(cands []Candidate) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", cands)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestRecommendPinned pins Recommend's ranked candidates for two probe
+// pairs.
+func TestRecommendPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("candidate search over the full topology skipped in short mode")
+	}
+	w := world(t)
+	for _, tc := range []struct {
+		trials         int
+		seed           uint64
+		n              int
+		probeA, probeB string
+		want           string
+	}{
+		{10, 1, 3, "nz", "us", "abd0a21e618fe324"},
+		{30, 7, 5, "us", "region:europe", "49ccfda3eadc033f"},
+	} {
+		cands, err := Recommend(w, failure.S1(), 150, tc.trials, tc.seed, tc.n, tc.probeA, tc.probeB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := candidatesFingerprint(cands); got != tc.want {
+			t.Errorf("Recommend(%s, %s) fingerprint = %s, want %s", tc.probeA, tc.probeB, got, tc.want)
+		}
+	}
+}
+
+// recommendReference is Recommend without the per-call geometry memo,
+// kept as its test oracle: every candidate rescans the network for its
+// landings' backhaul nodes and the probe sides for its relevance.
+func recommendReference(w *dataset.World, m failure.Model, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]Candidate, error) {
+	net := w.Submarine
+	base, err := pairSurvival(net, m, spacingKm, trials, seed, probeA, probeB)
+	if err != nil {
+		return nil, err
+	}
+	var cands []Candidate
+	for _, from := range dataset.Anchors() {
+		if from.Coord.AbsLat() >= geo.MidBandCut {
+			continue
+		}
+		for _, to := range dataset.Anchors() {
+			if to.Name <= from.Name || to.Coord.AbsLat() >= geo.MidBandCut {
+				continue
+			}
+			if geo.RegionOf(from.Coord) == geo.RegionOf(to.Coord) {
+				continue
+			}
+			d := geo.Haversine(from.Coord, to.Coord) * 1.2
+			if d < 3000 || d > 12000 {
+				continue
+			}
+			cands = append(cands, Candidate{
+				From: from.Name, To: to.Name, LengthKm: d,
+				MaxAbsLat: maxf(from.Coord.AbsLat(), to.Coord.AbsLat()),
+			})
+		}
+	}
+	probeACoords := coordsOf(net, nodesOf(net, probeA))
+	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	prelim := make([]float64, len(cands))
+	for i := range cands {
+		tmp, err := withCandidate(net, cands[i])
+		if err != nil {
+			return nil, err
+		}
+		p, err := failure.CableDeathProb(tmp, m, spacingKm, len(tmp.Cables)-1)
+		if err != nil {
+			return nil, err
+		}
+		cands[i].SurvivalProb = 1 - p
+		fromA, _ := dataset.AnchorByName(cands[i].From)
+		toA, _ := dataset.AnchorByName(cands[i].To)
+		d1 := minDist(fromA.Coord, probeACoords) + minDist(toA.Coord, probeBCoords)
+		d2 := minDist(fromA.Coord, probeBCoords) + minDist(toA.Coord, probeACoords)
+		d := d1
+		if d2 < d {
+			d = d2
+		}
+		prelim[i] = cands[i].SurvivalProb / (1 + d/4000)
+	}
+	sort.Sort(&byScore{cands, prelim})
+	limit := 4 * n
+	if limit > len(cands) {
+		limit = len(cands)
+	}
+	evaluated := cands[:limit]
+	for i := range evaluated {
+		augmented, err := withCandidate(net, evaluated[i])
+		if err != nil {
+			return nil, err
+		}
+		after, err := pairSurvival(augmented, m, spacingKm, trials, seed, probeA, probeB)
+		if err != nil {
+			return nil, err
+		}
+		evaluated[i].Benefit = after - base
+	}
+	sort.Slice(evaluated, func(i, j int) bool { return evaluated[i].Benefit > evaluated[j].Benefit })
+	if len(evaluated) > n {
+		evaluated = evaluated[:n]
+	}
+	return evaluated, nil
+}
+
+// TestAugmentGeometryMatchesDirect diffs every memoised lookup against a
+// fresh scan, over random anchors and probe targets on the submarine and
+// intertubes networks, asking each anchor twice so cached answers are
+// checked too.
+func TestAugmentGeometryMatchesDirect(t *testing.T) {
+	w := world(t)
+	anchors := dataset.Anchors()
+	targets := []string{"us", "gb", "nz", "br", "za", "jp", "in", "sg", "region:europe", "region:asia"}
+	rng := xrand.New(1921)
+	checked := 0
+	for _, net := range []*topology.Network{w.Submarine, w.Intertubes} {
+		for round := 0; round < 5; round++ {
+			probeA, probeB := targets[rng.Intn(len(targets))], targets[rng.Intn(len(targets))]
+			geom := newAugmentGeometry(net, probeA, probeB)
+			sides := [2][]geo.Coord{coordsOf(net, nodesOf(net, probeA)), coordsOf(net, nodesOf(net, probeB))}
+			for q := 0; q < 2*len(anchors); q++ {
+				a := anchors[rng.Intn(len(anchors))]
+				if got, want := geom.backhaul(a), nearestOfCountry(net, a); got != want {
+					t.Fatalf("%s: backhaul(%s) = %d, direct scan %d", net.Name, a.Name, got, want)
+				}
+				side := rng.Intn(2)
+				if got, want := geom.probeDist(a, side), minDist(a.Coord, sides[side]); got != want {
+					t.Fatalf("%s: probeDist(%s, %d) = %v, direct scan %v", net.Name, a.Name, side, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d lookups checked", checked)
+	}
+}
+
+// TestRecommendMatchesReference diffs the memoised Recommend against the
+// unmemoised oracle, candidate for candidate.
+func TestRecommendMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("unmemoised candidate search skipped in short mode")
+	}
+	w := world(t)
+	for _, probes := range [][2]string{{"br", "za"}, {"sg", "gb"}} {
+		got, err := Recommend(w, failure.S2(), 100, 6, 3, 2, probes[0], probes[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := recommendReference(w, failure.S2(), 100, 6, 3, 2, probes[0], probes[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if candidatesFingerprint(got) != candidatesFingerprint(want) {
+			t.Errorf("Recommend(%s, %s) = %+v, reference %+v", probes[0], probes[1], got, want)
+		}
 	}
 }

@@ -12,11 +12,14 @@ import (
 	"sort"
 
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
 
-// Fault is one damaged cable awaiting repair.
+// Fault is one damaged cable awaiting repair. The faults of one repair
+// campaign name distinct cables: PlanRecovery rejects two faults on the
+// same cable.
 type Fault struct {
 	// Cable indexes the network's cable list.
 	Cable int
@@ -114,6 +117,9 @@ type Event struct {
 	// NodesRestored is how many previously-unreachable nodes regained a
 	// live cable when this repair completed.
 	NodesRestored int
+
+	// cable indexes the repaired cable in the network's cable list.
+	cable int
 }
 
 // Schedule is a full recovery plan.
@@ -128,7 +134,8 @@ type Schedule struct {
 
 // PlanRecovery greedily schedules the fleet: whenever a ship frees up, it
 // takes the pending fault with the best marginal value rate — nodes that
-// would regain connectivity divided by (transit + repair) time.
+// would regain connectivity divided by (transit + repair) time. Faults
+// must name distinct cables.
 func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Options) (*Schedule, error) {
 	if len(fleet) == 0 {
 		return nil, errors.New("recovery: empty fleet")
@@ -143,13 +150,11 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	}
 
 	// Current cable state: everything with a fault is dead.
-	dead := make([]bool, len(net.Cables))
-	for _, f := range faults {
-		dead[f.Cable] = true
+	live, dup := newLiveCounts(net, faults)
+	if dup >= 0 {
+		return nil, fmt.Errorf("recovery: two faults on cable %d (%s)", dup, net.Cables[dup].Name)
 	}
-	baselineUnreachable := len(net.UnreachableNodes(dead))
-	totalConnected := net.ConnectedNodeCount()
-	preStormReachable := totalConnected // all nodes had live cables pre-storm
+	preStormReachable := net.ConnectedNodeCount() // all nodes had live cables pre-storm
 
 	type shipState struct {
 		ship Ship
@@ -165,7 +170,7 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	}
 
 	pending := append([]Fault(nil), faults...)
-	sched := &Schedule{RestoredAt: map[float64]float64{}}
+	sched := &Schedule{Events: make([]Event, 0, len(faults)), RestoredAt: map[float64]float64{}}
 
 	for len(pending) > 0 {
 		// Pick the ship that frees first.
@@ -179,21 +184,14 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 
 		// Choose the fault with the best value rate for this ship.
 		bestIdx, bestRate, bestDone := -1, -1.0, 0.0
-		var bestRestored int
 		for fi, f := range pending {
 			transit := geo.Haversine(ship.pos, f.Location) / ship.ship.SpeedKmPerDay
 			repair := opts.BaseDays + opts.DaysPerRepeater*float64(f.DamagedRepeaters)
 			done := ship.free + transit + repair
 			// Marginal reconnection value of restoring this cable now.
-			dead[f.Cable] = false
-			restored := 0
-			if baselineUnreachable > 0 {
-				restored = baselineUnreachable - len(net.UnreachableNodes(dead))
-			}
-			dead[f.Cable] = true
-			rate := (float64(restored) + 0.1) / (transit + repair)
+			rate := (float64(live.gain(f.Cable)) + 0.1) / (transit + repair)
 			if rate > bestRate {
-				bestRate, bestIdx, bestDone, bestRestored = rate, fi, done, restored
+				bestRate, bestIdx, bestDone = rate, fi, done
 			}
 		}
 		f := pending[bestIdx]
@@ -201,14 +199,13 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 
 		// Mark repaired for subsequent marginal-value estimates (they
 		// assume earlier-scheduled work completes).
-		dead[f.Cable] = false
-		baselineUnreachable = len(net.UnreachableNodes(dead))
-		_ = bestRestored
+		live.restore(f.Cable)
 		sched.Events = append(sched.Events, Event{
 			Ship:  ship.ship.Name,
 			Cable: net.Cables[f.Cable].Name,
 			Start: ship.free,
 			Done:  bestDone,
+			cable: f.Cable,
 		})
 		ship.free = bestDone
 		ship.pos = f.Location
@@ -221,20 +218,10 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	// milestone crossing times. (Assignment order differs from completion
 	// order once several ships work in parallel.)
 	sort.Slice(sched.Events, func(i, j int) bool { return sched.Events[i].Done < sched.Events[j].Done })
-	for i := range dead {
-		dead[i] = false
-	}
-	cableIdx := make(map[string]int, len(net.Cables))
-	for ci := range net.Cables {
-		cableIdx[net.Cables[ci].Name] = ci
-	}
-	for _, f := range faults {
-		dead[f.Cable] = true
-	}
+	live, _ = newLiveCounts(net, faults)
 	milestones := []float64{0.5, 0.9, 0.95, 1.0}
-	unreachable := len(net.UnreachableNodes(dead))
 	record := func(day float64) {
-		restoredFrac := float64(preStormReachable-unreachable) / float64(preStormReachable)
+		restoredFrac := float64(preStormReachable-live.unreachable) / float64(preStormReachable)
 		for _, m := range milestones {
 			if _, done := sched.RestoredAt[m]; !done && restoredFrac >= m {
 				sched.RestoredAt[m] = day
@@ -244,10 +231,7 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	record(0)
 	for ei := range sched.Events {
 		e := &sched.Events[ei]
-		dead[cableIdx[e.Cable]] = false
-		now := len(net.UnreachableNodes(dead))
-		e.NodesRestored = unreachable - now
-		unreachable = now
+		e.NodesRestored = live.restore(e.cable)
 		record(e.Done)
 	}
 	for _, m := range milestones {
@@ -258,29 +242,110 @@ func PlanRecovery(net *topology.Network, faults []Fault, fleet []Ship, opts Opti
 	return sched, nil
 }
 
-// RestorationCurve samples restored-connectivity fraction at the given
-// day marks from the schedule's events.
-func (s *Schedule) RestorationCurve(net *topology.Network, faults []Fault, days []float64) []float64 {
-	dead := make([]bool, len(net.Cables))
+// liveCounts holds, per node, how many of its incident cables are live.
+// A node with cables is unreachable iff its count is 0, and restoring
+// cable c changes only the counts of c's own endpoints, so a repair's
+// marginal gain costs O(deg c) over the cable → node incidence instead of
+// a pass over every node.
+type liveCounts struct {
+	// cableStart/cableNodes is the network's cable → distinct endpoint
+	// CSR (topology.IncidenceBits).
+	cableStart, cableNodes []int32
+	live                   []int32
+	// unreachable is the number of nodes with cables whose count is 0.
+	unreachable int
+	// faulted lists the distinct cables seeded dead, in fault order.
+	faulted []int
+}
+
+// newLiveCounts seeds the counts with every faulted cable dead. A cable
+// named by several faults is seeded once, and the first such cable is
+// returned as dup (-1 when the faults name distinct cables).
+func newLiveCounts(net *topology.Network, faults []Fault) (lc *liveCounts, dup int) {
+	ib := net.IncidenceBits()
+	lc = &liveCounts{
+		cableStart: ib.CableStart,
+		cableNodes: ib.CableNodes,
+		live:       make([]int32, len(net.Nodes)),
+		faulted:    make([]int, 0, len(faults)),
+	}
+	for i := range lc.live {
+		lc.live[i] = ib.NodeCableStart[i+1] - ib.NodeCableStart[i]
+	}
+	seen := graph.NewBitset(len(net.Cables))
+	dup = -1
 	for _, f := range faults {
-		dead[f.Cable] = true
-	}
-	total := net.ConnectedNodeCount()
-	repairDay := map[string]float64{}
-	for _, e := range s.Events {
-		repairDay[e.Cable] = e.Done
-	}
-	out := make([]float64, len(days))
-	for di, day := range days {
-		cur := make([]bool, len(dead))
-		copy(cur, dead)
-		for ci := range net.Cables {
-			if cur[ci] && repairDay[net.Cables[ci].Name] <= day {
-				cur[ci] = false
+		if seen.Get(f.Cable) {
+			if dup < 0 {
+				dup = f.Cable
+			}
+			continue
+		}
+		seen.Set(f.Cable)
+		lc.faulted = append(lc.faulted, f.Cable)
+		for _, ni := range lc.cableNodes[lc.cableStart[f.Cable]:lc.cableStart[f.Cable+1]] {
+			lc.live[ni]--
+			if lc.live[ni] == 0 {
+				lc.unreachable++
 			}
 		}
-		unreachable := len(net.UnreachableNodes(cur))
-		out[di] = float64(total-unreachable) / float64(total)
+	}
+	return lc, dup
+}
+
+// gain returns how many unreachable nodes restoring dead cable c would
+// revive: its endpoints whose count is 0.
+//
+//gicnet:hotpath
+func (lc *liveCounts) gain(c int) int {
+	n := 0
+	for _, ni := range lc.cableNodes[lc.cableStart[c]:lc.cableStart[c+1]] {
+		if lc.live[ni] == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// restore brings dead cable c back and returns how many nodes it revived.
+//
+//gicnet:hotpath
+func (lc *liveCounts) restore(c int) int {
+	n := 0
+	for _, ni := range lc.cableNodes[lc.cableStart[c]:lc.cableStart[c+1]] {
+		if lc.live[ni] == 0 {
+			n++
+		}
+		lc.live[ni]++
+	}
+	lc.unreachable -= n
+	return n
+}
+
+// RestorationCurve samples restored-connectivity fraction at the given
+// day marks from the schedule's events. The schedule must come from
+// PlanRecovery (its events carry the repaired cables' indices), and
+// faults are the ones it was planned for; a faulted cable without a
+// repair event counts as repaired from day 0.
+func (s *Schedule) RestorationCurve(net *topology.Network, faults []Fault, days []float64) []float64 {
+	base, _ := newLiveCounts(net, faults)
+	total := net.ConnectedNodeCount()
+	repairDay := make([]float64, len(net.Cables))
+	for _, e := range s.Events {
+		repairDay[e.cable] = e.Done
+	}
+	cur := *base
+	cur.live = make([]int32, len(base.live))
+	out := make([]float64, len(days))
+	for di, day := range days {
+		copy(cur.live, base.live)
+		cur.unreachable = base.unreachable
+		for _, c := range base.faulted {
+			if repairDay[c] <= day {
+				cur.restore(c)
+			}
+		}
+		out[di] = float64(total-cur.unreachable) / float64(total)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +196,53 @@ func TestRenderScenario(t *testing.T) {
 	for _, want := range []string{"Scenario", "lead time", "impact", "partitions", "repairs", "satellites"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// reportFingerprint hashes every field of a report, dereferencing its
+// sub-reports (fmt prints maps with sorted keys, and every sub-report is
+// a pointer-free struct).
+func reportFingerprint(r *Report) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%v|%d|%d|%d|%v|%+v|%d;", r.Storm, r.LeadTimeHours, r.CablesDead,
+		r.NodesIsolated, r.StationsDark, r.TrafficStranded, r.TopShifts, r.FaultCount)
+	if r.Plan != nil {
+		fmt.Fprintf(h, "%+v;", *r.Plan)
+	}
+	fmt.Fprintf(h, "%+v;%+v;%+v;", *r.Fragmentation, *r.Satellite, *r.Economic)
+	if s := r.Recovery; s != nil {
+		for _, e := range s.Events {
+			fmt.Fprintf(h, "%s|%s|%v|%v|%d;", e.Ship, e.Cable, e.Start, e.Done, e.NodesRestored)
+		}
+		fmt.Fprintf(h, "%v|%v", s.MakespanDays, s.RestoredAt)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestRunPinned pins the whole report, repair schedule included, of the
+// Carrington and New York Railroad scenarios.
+func TestRunPinned(t *testing.T) {
+	w := world(t)
+	nyrr := DefaultConfig()
+	nyrr.Storm = gic.NewYorkRailroad
+	for _, tc := range []struct {
+		name string
+		rep  func() (*Report, error)
+		want string
+	}{
+		{"carrington", defaultReportOnce, "fe57bdfb96a247a6"},
+		{"new-york-railroad", func() (*Report, error) { return Run(w, nyrr) }, "11d1a14df6928b28"},
+	} {
+		rep, err := tc.rep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Recovery == nil {
+			t.Fatalf("%s: no repair schedule to pin", tc.name)
+		}
+		if got := reportFingerprint(rep); got != tc.want {
+			t.Errorf("%s report fingerprint = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
