@@ -10,7 +10,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile bench bench-snapshot bench-check
+.PHONY: all build test vet lint race verify validate update-golden fuzz-smoke loadtest-smoke crosscompile perfbench bench bench-snapshot bench-check
 
 all: verify
 
@@ -41,7 +41,7 @@ lint:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/failure/... ./internal/topology/... ./internal/graph/... ./internal/partition/... ./internal/experiments/... ./internal/serve/... ./internal/crosslayer/...
 
-verify: vet lint test race validate loadtest-smoke fuzz-smoke crosscompile
+verify: vet lint test race validate loadtest-smoke fuzz-smoke crosscompile perfbench
 
 # Serving smoke: drive the example-workload mix through a fully tiered
 # server and a no-tier baseline and require identical order-independent
@@ -58,6 +58,12 @@ crosscompile:
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) build -tags purego ./...
 	$(GO) vet -tags purego ./internal/graph
+
+# The end-to-end benchmark (perfbench/) is a nested module that the root
+# `go build ./...` skips; vet and test it so an internal signature change
+# that breaks it fails here rather than when the benchmark next runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Statistical verification: diff every reproduce output against the
 # checked-in golden snapshot, check model invariants, and prove replay

@@ -20,6 +20,7 @@ import (
 
 	"gicnet/internal/geo"
 	"gicnet/internal/gic"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -194,15 +195,18 @@ type Outcome struct {
 	NodeFrac float64
 }
 
-// Evaluate computes the Outcome for a cable-death vector.
+// Evaluate computes the Outcome for a cable-death vector with a per-node
+// incidence scan. It is the reference Plan.Evaluate is checked against.
 func Evaluate(net *topology.Network, cableDead []bool) Outcome {
 	failed := 0
-	for _, d := range cableDead {
+	dead := graph.NewBitset(len(cableDead))
+	for ci, d := range cableDead {
 		if d {
 			failed++
+			dead.Set(ci)
 		}
 	}
-	unreachable := len(net.UnreachableNodes(cableDead))
+	unreachable := len(net.UnreachableNodes(dead))
 	out := Outcome{CablesFailed: failed, NodesUnreachable: unreachable}
 	if len(net.Cables) > 0 {
 		out.CableFrac = float64(failed) / float64(len(net.Cables))

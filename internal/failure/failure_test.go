@@ -211,7 +211,10 @@ func TestCableDeathProbMonotoneInRepeaterCount(t *testing.T) {
 		if math.IsNaN(pSeed) || math.IsNaN(lenSeed) {
 			return true
 		}
-		p := math.Mod(math.Abs(pSeed), 1)
+		// quick draws float64s as ±rand.Float64()*MaxFloat64, which are
+		// whole numbers, so a Mod by 1 would always give p = 0; rescale
+		// to a uniform p in [0, 1) instead.
+		p := math.Abs(pSeed) / math.MaxFloat64
 		length := 100 + math.Mod(math.Abs(lenSeed), 30000)
 		n := &topology.Network{
 			Name: "m",
@@ -225,7 +228,26 @@ func TestCableDeathProbMonotoneInRepeaterCount(t *testing.T) {
 		}
 		ps, err1 := CableDeathProb(n, Uniform{P: p}, 150, 0)
 		pl, err2 := CableDeathProb(n, Uniform{P: p}, 150, 1)
-		return err1 == nil && err2 == nil && pl >= ps-1e-12
+		if err1 != nil || err2 != nil || pl < ps-1e-12 {
+			return false
+		}
+		// Shrinking the spacing adds repeaters, down to spacings whose
+		// repeater count overflows int: the death probability of each
+		// cable must never fall.
+		for ci := range n.Cables {
+			prev, err := CableDeathProb(n, Uniform{P: p}, 150, ci)
+			if err != nil {
+				return false
+			}
+			for _, spacing := range []float64{1e-3, 1e-300} {
+				q, err := CableDeathProb(n, Uniform{P: p}, spacing, ci)
+				if err != nil || math.IsNaN(q) || q < prev-1e-12 || q > 1 {
+					return false
+				}
+				prev = q
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -410,8 +410,11 @@ func (p *Plan) SampleInto(dead graph.Bitset, rng *xrand.Source) {
 // SampleDense draws one realisation with one Bernoulli decision per cable
 // in cable order — draw-for-draw compatible with SampleCableDeaths (cables
 // with probability 0 or 1 consume nothing), so a given seed yields the
-// same realisation on either path. It exists for the verification layer's
-// coupling and equivalence proofs; simulation hot paths use SampleInto.
+// same realisation on either path, which the plan-matches-direct-path
+// invariant pins. It is the production sampler of the per-trial analyses
+// whose outputs are defined by that draw order (grid.Compare, where the
+// grid cascade continues the same stream, and resilience.Evaluate); the
+// Monte Carlo trial loops use SampleInto and SampleBatch.
 //
 //gicnet:hotpath
 func (p *Plan) SampleDense(dead graph.Bitset, rng *xrand.Source) {

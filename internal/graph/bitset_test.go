@@ -131,48 +131,3 @@ func TestBitsetCopyExpandGrow(t *testing.T) {
 		t.Errorf("bigger = %d words count %d", len(bigger), bigger.Count())
 	}
 }
-
-// TestScratchBitsVariantsAgree cross-checks ComponentsBits/AnyConnectedBits
-// against the AliveMask-based originals on random graphs and masks.
-func TestScratchBitsVariantsAgree(t *testing.T) {
-	rng := xrand.New(0xb175)
-	for gi := 0; gi < 20; gi++ {
-		r := rng.SplitAt(uint64(gi))
-		n := 2 + r.Intn(30)
-		m := r.Intn(3 * n)
-		g := New()
-		for i := 0; i < n; i++ {
-			g.AddNode("")
-		}
-		for e := 0; e < m; e++ {
-			g.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
-		}
-		mask := make(AliveMask, g.NumEdges())
-		dead := NewBitset(g.NumEdges())
-		for e := range mask {
-			mask[e] = r.Bool(0.6)
-			if !mask[e] {
-				dead.Set(e)
-			}
-		}
-		s := g.NewScratch()
-		wantSets := s.Components(mask).Sets()
-		gotSets := s.ComponentsBits(dead).Sets()
-		if wantSets != gotSets {
-			t.Fatalf("graph %d: Components sees %d sets, ComponentsBits %d", gi, wantSets, gotSets)
-		}
-		for trial := 0; trial < 8; trial++ {
-			from := []NodeID{NodeID(r.Intn(n))}
-			to := []NodeID{NodeID(r.Intn(n)), NodeID(r.Intn(n))}
-			want := s.AnyConnected(mask, from, to)
-			got := s.AnyConnectedBits(dead, from, to)
-			if want != got {
-				t.Fatalf("graph %d: AnyConnected=%v AnyConnectedBits=%v for %v->%v", gi, want, got, from, to)
-			}
-		}
-		// nil bitset means fully alive
-		if !s.AnyConnectedBits(nil, []NodeID{0}, []NodeID{0}) {
-			t.Fatal("nil dead set: node not connected to itself")
-		}
-	}
-}

@@ -84,13 +84,8 @@ func TestBridgesMatchDefinitionProperty(t *testing.T) {
 		for _, b := range g.Bridges() {
 			isBridge[b] = true
 		}
-		mask := make(AliveMask, g.NumEdges())
 		for e := 0; e < g.NumEdges(); e++ {
-			for i := range mask {
-				mask[i] = true
-			}
-			mask[e] = false
-			_, count := g.Components(mask)
+			_, count := g.Components(deadSet(g.NumEdges(), e))
 			if (count > base) != isBridge[EdgeID(e)] {
 				return false
 			}

@@ -242,9 +242,6 @@ func (cc *CoreContraction) NumSupernodes() int { return cc.numSuper }
 // the per-trial union work in the worst case (every at-risk class dead-free).
 func (cc *CoreContraction) NumRiskEdges() int { return len(cc.edgeA) }
 
-// NumClasses returns the failure-class count the dead masks are indexed by.
-func (cc *CoreContraction) NumClasses() int { return cc.numClasses }
-
 // Super returns the supernode of node n.
 func (cc *CoreContraction) Super(n NodeID) int32 { return cc.super[n] }
 

@@ -84,18 +84,21 @@ func TestComponentsAllAlive(t *testing.T) {
 }
 
 func TestComponentsWithMask(t *testing.T) {
-	g, edges := buildPath(5)
-	mask := make(AliveMask, len(edges))
-	for i := range mask {
-		mask[i] = true
-	}
-	mask[2] = false // cut 2-3
-	labels, count := g.Components(mask)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
-	}
-	if labels[0] != labels[2] || labels[3] != labels[4] || labels[0] == labels[3] {
-		t.Errorf("unexpected labels %v", labels)
+	// Paths of 4 and 70 edges: neither edge count is a multiple of 64, so
+	// the dead set's last word carries bits past the final edge.
+	for _, c := range []struct{ nodes, cut int }{{5, 2}, {71, 66}} {
+		g, edges := buildPath(c.nodes)
+		if _, count := g.Components(nil); count != 1 {
+			t.Fatalf("path %d, nil dead set: count = %d, want 1", c.nodes, count)
+		}
+		labels, count := g.Components(deadSet(len(edges), c.cut)) // cut cut-(cut+1)
+		if count != 2 {
+			t.Fatalf("path %d: count = %d, want 2", c.nodes, count)
+		}
+		last := c.nodes - 1
+		if labels[0] != labels[c.cut] || labels[c.cut+1] != labels[last] || labels[0] == labels[last] {
+			t.Errorf("path %d: unexpected labels %v", c.nodes, labels)
+		}
 	}
 }
 
@@ -103,79 +106,33 @@ func TestParallelEdgesRedundancy(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
 	e1 := g.AddEdge(a, b)
-	e2 := g.AddEdge(a, b)
-	mask := AliveMask{false, true}
-	_ = e1
-	_ = e2
-	ok, err := g.SameComponent(a, b, mask)
-	if err != nil || !ok {
+	g.AddEdge(a, b)
+	labels, _ := g.Components(deadSet(g.NumEdges(), int(e1)))
+	if labels[a] != labels[b] {
 		t.Error("parallel edge should keep nodes connected")
 	}
 }
 
 func TestReachable(t *testing.T) {
 	g, edges := buildPath(6)
-	mask := make(AliveMask, len(edges))
-	for i := range mask {
-		mask[i] = true
-	}
-	mask[3] = false // cut 3-4
-	got, err := g.Reachable(0, mask)
+	s := g.NewScratch()
+	got, err := s.Reachable(nil, 0, deadSet(len(edges), 3)) // cut 3-4
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
-		t.Errorf("reachable = %d nodes, want 4", len(got))
+		t.Errorf("reachable = %v, want 4 nodes", got)
 	}
-	if got[NodeID(4)] || got[NodeID(5)] {
-		t.Error("nodes beyond the cut should be unreachable")
+	for _, n := range got {
+		if n == 4 || n == 5 {
+			t.Error("nodes beyond the cut should be unreachable")
+		}
 	}
-	if _, err := g.Reachable(NodeID(-1), nil); err == nil {
+	if got, _ := s.Reachable(nil, 0, nil); len(got) != 6 {
+		t.Errorf("nil dead set: reachable = %v, want all 6 nodes", got)
+	}
+	if _, err := s.Reachable(nil, NodeID(-1), nil); err == nil {
 		t.Error("Reachable(-1) should error")
-	}
-}
-
-func TestIsolated(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	g.AddNode("never-connected")
-	e1 := g.AddEdge(a, b)
-	e2 := g.AddEdge(b, c)
-	mask := make(AliveMask, 2)
-	mask[e1] = false
-	mask[e2] = true
-	iso := g.Isolated(mask)
-	if len(iso) != 1 || iso[0] != a {
-		t.Errorf("Isolated = %v, want [a]; node with an alive edge or no edges must not count", iso)
-	}
-}
-
-func TestIsolatedAllDead(t *testing.T) {
-	g, edges := buildPath(4)
-	mask := make(AliveMask, len(edges)) // all false
-	iso := g.Isolated(mask)
-	if len(iso) != 4 {
-		t.Errorf("all-dead path: %d isolated, want 4", len(iso))
-	}
-}
-
-func TestLargestComponentSize(t *testing.T) {
-	g := New()
-	for i := 0; i < 7; i++ {
-		g.AddNode("")
-	}
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	if got := g.LargestComponentSize(nil); got != 3 {
-		t.Errorf("LargestComponentSize = %d, want 3", got)
-	}
-}
-
-func TestSameComponentErrors(t *testing.T) {
-	g, _ := buildPath(2)
-	if _, err := g.SameComponent(0, NodeID(9), nil); err == nil {
-		t.Error("want error")
 	}
 }
 
@@ -262,8 +219,10 @@ func TestArticulationPointsLargePathIterative(t *testing.T) {
 }
 
 func TestComponentsMatchReachableProperty(t *testing.T) {
-	// Random graph + random mask: nodes are in the same component iff
-	// mutually reachable by BFS.
+	// Random graph + random dead-edge set: nodes are in the same component
+	// iff mutually reachable by BFS. Edge counts run past one bitset word
+	// and are rarely a multiple of 64; every fourth graph uses the nil
+	// (all-alive) set.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(30)
@@ -271,21 +230,29 @@ func TestComponentsMatchReachableProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddNode("")
 		}
-		m := rng.Intn(60)
-		mask := make(AliveMask, 0, m)
+		m := rng.Intn(140)
+		dead := NewBitset(m)
 		for i := 0; i < m; i++ {
 			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-			mask = append(mask, rng.Bool(0.7))
+			if rng.Bool(0.3) {
+				dead.Set(i)
+			}
 		}
-		labels, _ := g.Components(mask)
+		if rng.Intn(4) == 0 {
+			dead = nil
+		}
+		labels, _ := g.Components(dead)
 		a := NodeID(rng.Intn(n))
-		reach, err := g.Reachable(a, mask)
+		reach, err := g.NewScratch().Reachable(nil, a, dead)
 		if err != nil {
 			return false
 		}
+		inReach := make([]bool, n)
+		for _, b := range reach {
+			inReach[b] = true
+		}
 		for b := 0; b < n; b++ {
-			same := labels[a] == labels[b]
-			if same != reach[NodeID(b)] {
+			if (labels[a] == labels[b]) != inReach[b] {
 				return false
 			}
 		}
@@ -385,13 +352,16 @@ func BenchmarkComponents(b *testing.B) {
 	for i := 0; i < n; i++ {
 		g.AddNode("")
 	}
-	mask := make(AliveMask, 0, 20000)
-	for i := 0; i < 20000; i++ {
+	const m = 20000
+	dead := NewBitset(m)
+	for i := 0; i < m; i++ {
 		g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-		mask = append(mask, rng.Bool(0.8))
+		if rng.Bool(0.2) {
+			dead.Set(i)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Components(mask)
+		g.Components(dead)
 	}
 }

@@ -14,7 +14,7 @@ func TestScratchEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() *Graph
-		mask  func(g *Graph) AliveMask // nil = all alive
+		dead  func(g *Graph) Bitset // nil = all alive
 		// wantComponents counts components; wantReach maps a start node
 		// to its expected reachable-set size (-1 = expect an error).
 		wantComponents int
@@ -59,7 +59,7 @@ func TestScratchEdgeCases(t *testing.T) {
 				g.AddEdge(a, b)
 				return g
 			},
-			mask:           func(g *Graph) AliveMask { return make(AliveMask, g.NumEdges()) },
+			dead:           func(g *Graph) Bitset { return deadSet(g.NumEdges(), 0) },
 			wantComponents: 2,
 			reachStart:     0,
 			wantReach:      1,
@@ -73,31 +73,39 @@ func TestScratchEdgeCases(t *testing.T) {
 				g.AddEdge(a, b)
 				return g
 			},
-			mask: func(g *Graph) AliveMask {
-				m := make(AliveMask, g.NumEdges())
-				m[1] = true
-				return m
-			},
+			dead:           func(g *Graph) Bitset { return deadSet(g.NumEdges(), 0) },
 			wantComponents: 1,
 			reachStart:     0,
 			wantReach:      2,
+		},
+		{
+			// 70 edges: the dead set's second word is partial.
+			name: "chain past one word cut in the tail word",
+			build: func() *Graph {
+				g, _ := buildPath(71)
+				return g
+			},
+			dead:           func(g *Graph) Bitset { return deadSet(g.NumEdges(), 66) },
+			wantComponents: 2,
+			reachStart:     70,
+			wantReach:      4,
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.build()
 			s := g.NewScratch()
-			var mask AliveMask
-			if c.mask != nil {
-				mask = c.mask(g)
+			var dead Bitset
+			if c.dead != nil {
+				dead = c.dead(g)
 			}
 			// Run every query twice: scratch reuse must not change answers.
 			for pass := 0; pass < 2; pass++ {
-				uf := s.Components(mask)
+				uf := s.ComponentsBits(dead)
 				if got := uf.Sets(); got != c.wantComponents {
 					t.Fatalf("pass %d: components = %d, want %d", pass, got, c.wantComponents)
 				}
-				nodes, err := s.Reachable(nil, c.reachStart, mask)
+				nodes, err := s.Reachable(nil, c.reachStart, dead)
 				if c.wantReach < 0 {
 					if !errors.Is(err, ErrBadNode) {
 						t.Fatalf("pass %d: Reachable err = %v, want ErrBadNode", pass, err)
@@ -187,17 +195,17 @@ func TestScratchAcrossDifferentlySizedGraphs(t *testing.T) {
 			}
 		}
 		// Component queries on both scratches stay independent too.
-		if got := ss.Components(nil).Sets(); got != 1 {
+		if got := ss.ComponentsBits(nil).Sets(); got != 1 {
 			t.Fatalf("round %d: small components = %d, want 1", round, got)
 		}
-		if got := sb.Components(nil).Sets(); got != 1 {
+		if got := sb.ComponentsBits(nil).Sets(); got != 1 {
 			t.Fatalf("round %d: big components = %d, want 1", round, got)
 		}
 	}
 
 	// A scratch must also survive its graph being *queried* through a
 	// bigger mask than it has edges for — i.e., nil masks of any size.
-	if got := big.ComponentCount(nil); got != 1 {
-		t.Fatalf("ComponentCount(nil) = %d, want 1", got)
+	if _, got := big.Components(nil); got != 1 {
+		t.Fatalf("Components(nil) count = %d, want 1", got)
 	}
 }

@@ -23,32 +23,49 @@ func ladder() *Graph {
 	return g
 }
 
+// deadSet returns an n-edge dead-edge bitset with the given edges set.
+func deadSet(n int, dead ...int) Bitset {
+	b := NewBitset(n)
+	for _, e := range dead {
+		b.Set(e)
+	}
+	return b
+}
+
+// ladderDeadSets are dead-edge sets over ladder's five edges, from the nil
+// (all-alive) set to every edge dead.
+var ladderDeadSets = []Bitset{
+	nil,
+	deadSet(5),
+	deadSet(5, 0, 1),
+	deadSet(5, 1, 2, 3, 4),
+	deadSet(5, 0, 1, 2, 3, 4),
+}
+
+// TestScratchReachableMatchesMap checks the BFS reachable set from every
+// start node against the component labelling of Graph.Components.
 func TestScratchReachableMatchesMap(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
-	masks := []AliveMask{
-		nil,
-		{true, true, true, true, true},
-		{false, false, true, true, true},
-		{true, false, false, false, false},
-		{false, false, false, false, false},
-	}
-	for _, mask := range masks {
+	for _, dead := range ladderDeadSets {
+		labels, _ := g.Components(dead)
 		for start := 0; start < g.NumNodes(); start++ {
-			want, err := g.Reachable(NodeID(start), mask)
+			want := 0
+			for _, l := range labels {
+				if l == labels[start] {
+					want++
+				}
+			}
+			got, err := s.Reachable(nil, NodeID(start), dead)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Reachable(nil, NodeID(start), mask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("mask %v start %d: %d nodes, want %d", mask, start, len(got), len(want))
+			if len(got) != want {
+				t.Fatalf("dead %v start %d: %d nodes, want %d", dead, start, len(got), want)
 			}
 			for _, n := range got {
-				if !want[n] {
-					t.Fatalf("mask %v start %d: scratch visited %d, map path did not", mask, start, n)
+				if labels[n] != labels[start] {
+					t.Fatalf("dead %v start %d: scratch visited %d outside the start's component", dead, start, n)
 				}
 			}
 		}
@@ -76,16 +93,16 @@ func TestScratchReachableReusesStorage(t *testing.T) {
 func TestScratchComponentsMatchesGraph(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
-	for _, mask := range []AliveMask{nil, {true, false, false, true, true}, {false, false, false, false, false}} {
-		labels, count := g.Components(mask)
-		uf := s.Components(mask)
+	for _, dead := range ladderDeadSets {
+		labels, count := g.Components(dead)
+		uf := s.ComponentsBits(dead)
 		if uf.Sets() != count {
-			t.Fatalf("mask %v: scratch sets %d, graph count %d", mask, uf.Sets(), count)
+			t.Fatalf("dead %v: scratch sets %d, graph count %d", dead, uf.Sets(), count)
 		}
 		for a := 0; a < g.NumNodes(); a++ {
 			for b := 0; b < g.NumNodes(); b++ {
 				if (labels[a] == labels[b]) != uf.Connected(a, b) {
-					t.Fatalf("mask %v: connectivity of (%d,%d) disagrees", mask, a, b)
+					t.Fatalf("dead %v: connectivity of (%d,%d) disagrees", dead, a, b)
 				}
 			}
 		}
@@ -96,27 +113,28 @@ func TestScratchAnyConnected(t *testing.T) {
 	g := ladder()
 	s := g.NewScratch()
 	cases := []struct {
-		mask     AliveMask
+		dead     Bitset
 		from, to []NodeID
 		want     bool
 	}{
 		{nil, []NodeID{0}, []NodeID{2}, true},
 		{nil, []NodeID{0}, []NodeID{4}, false},
 		{nil, []NodeID{0, 3}, []NodeID{4}, true},
-		{AliveMask{false, false, false, false, false}, []NodeID{0}, []NodeID{1}, false},
-		{AliveMask{true, false, false, false, false}, []NodeID{0}, []NodeID{1}, true},
+		{nil, []NodeID{5}, []NodeID{5}, true},
+		{deadSet(5, 0, 1, 2, 3, 4), []NodeID{0}, []NodeID{1}, false},
+		{deadSet(5, 1, 2, 3, 4), []NodeID{0}, []NodeID{1}, true},
 		{nil, nil, []NodeID{1}, false},
 	}
 	for i, c := range cases {
-		if got := s.AnyConnected(c.mask, c.from, c.to); got != c.want {
-			t.Errorf("case %d: AnyConnected = %v, want %v", i, got, c.want)
+		if got := s.AnyConnectedBits(c.dead, c.from, c.to); got != c.want {
+			t.Errorf("case %d: AnyConnectedBits = %v, want %v", i, got, c.want)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.AnyConnected(nil, []NodeID{0}, []NodeID{4})
+		s.AnyConnectedBits(nil, []NodeID{0}, []NodeID{4})
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state AnyConnected allocates %v/op, want 0", allocs)
+		t.Errorf("steady-state AnyConnectedBits allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -1,11 +1,13 @@
 package grid
 
 import (
+	"reflect"
 	"testing"
 
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/xrand"
 )
 
@@ -53,10 +55,13 @@ func TestCascadeNeverRevivesCables(t *testing.T) {
 	net := w.Submarine
 	m := DefaultModel(s1Probs())
 	rng := xrand.New(1)
-	dead, err := failure.SampleCableDeaths(net, failure.S1(), 150, rng)
+	plan, err := failure.Compile(net, failure.S1(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead := plan.NewDead()
+	plan.SampleDense(dead, rng)
+	input := append(graph.Bitset(nil), dead...)
 	coupled, dark, err := m.Cascade(net, dead, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +69,21 @@ func TestCascadeNeverRevivesCables(t *testing.T) {
 	if dark < 0 {
 		t.Error("negative dark count")
 	}
-	for i := range dead {
-		if dead[i] && !coupled[i] {
+	for ci := range net.Cables {
+		if dead.Get(ci) && !coupled.Get(ci) {
 			t.Fatal("cascade revived a dead cable")
 		}
 	}
-	// input untouched
-	dead2, _ := failure.SampleCableDeaths(net, failure.S1(), 150, xrand.New(1).Split(0))
-	_ = dead2
+	if !reflect.DeepEqual(dead, input) {
+		t.Error("cascade modified its input set")
+	}
 }
 
 func TestCascadeZeroGridFailure(t *testing.T) {
 	w := subNet(t)
 	net := w.Submarine
 	m := DefaultModel([geo.NumBands]float64{})
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	coupled, dark, err := m.Cascade(net, dead, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +91,8 @@ func TestCascadeZeroGridFailure(t *testing.T) {
 	if dark != 0 {
 		t.Errorf("dark stations = %d with no grid failures", dark)
 	}
-	for _, d := range coupled {
-		if d {
-			t.Fatal("cables died without any failure source")
-		}
+	if coupled.Count() != 0 {
+		t.Fatal("cables died without any failure source")
 	}
 }
 
@@ -98,7 +101,7 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 	net := w.Submarine
 	m := DefaultModel([geo.NumBands]float64{1, 1, 1})
 	m.BackupProb = 0
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	coupled, dark, err := m.Cascade(net, dead, xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +109,8 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 	if dark != len(net.Nodes) {
 		t.Errorf("dark = %d, want all %d stations", dark, len(net.Nodes))
 	}
-	for ci, d := range coupled {
-		if !d {
+	for ci := range net.Cables {
+		if !coupled.Get(ci) {
 			t.Fatalf("cable %d survived a total blackout", ci)
 		}
 	}
@@ -116,7 +119,7 @@ func TestCascadeTotalGridFailureNoBackup(t *testing.T) {
 func TestCascadeLengthMismatch(t *testing.T) {
 	w := subNet(t)
 	m := DefaultModel(s1Probs())
-	if _, _, err := m.Cascade(w.Submarine, make([]bool, 2), xrand.New(1)); err == nil {
+	if _, _, err := m.Cascade(w.Submarine, graph.NewBitset(2), xrand.New(1)); err == nil {
 		t.Error("want length mismatch error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"gicnet/internal/lint"
@@ -157,11 +158,7 @@ func TestErrCheckFixture(t *testing.T) {
 // analyzers enforce: the tree that ships is lint-clean, so any new finding
 // is a regression introduced by the change under review.
 func TestRepoClean(t *testing.T) {
-	root, err := findModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lint.LoadModule(root)
+	prog, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +172,7 @@ func TestRepoClean(t *testing.T) {
 // package the determinism contract names must actually exist in the module,
 // so a rename cannot silently drop a package out of enforcement.
 func TestDeterministicPackagesLoaded(t *testing.T) {
-	root, err := findModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lint.LoadModule(root)
+	prog, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +186,17 @@ func TestDeterministicPackagesLoaded(t *testing.T) {
 		}
 	}
 }
+
+// loadRepo loads and type-checks the whole module once per test binary;
+// the load dominates this package's test time, and the tests that use it
+// only read the program.
+var loadRepo = sync.OnceValues(func() (*lint.Program, error) {
+	root, err := findModuleRoot()
+	if err != nil {
+		return nil, err
+	}
+	return lint.LoadModule(root)
+})
 
 func findModuleRoot() (string, error) {
 	dir, err := os.Getwd()

@@ -34,17 +34,15 @@ func TestMeanFragmentationContractedMatchesAnalyze(t *testing.T) {
 			scratch := net.Graph().NewScratch()
 			root := xrand.New(99)
 			dead := plan.NewDead()
-			deadBools := make([]bool, plan.NumCables())
 			const trials = 12
 			for ti := 0; ti < trials; ti++ {
 				rng := root.SplitAt(uint64(ti))
 				plan.SampleInto(dead, &rng)
-				dead.Expand(deadBools)
 				uf := scratch.ComponentsCore(cc, dead)
-				got := aggregate(net, deadBools, func(i int) int {
+				got := aggregate(net, dead, func(i int) int {
 					return uf.Find(int(cc.Super(graph.NodeID(i))))
 				})
-				want, err := Analyze(net, deadBools)
+				want, err := Analyze(net, dead)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,18 +35,16 @@ type Fragmentation struct {
 	RegionSplit map[geo.Region]int
 }
 
-// Analyze computes the fragmentation of a network under a cable-death
-// realisation. It is the exact full-graph reference: labels come from a
-// fresh Components pass over every edge. The Monte Carlo loop in
+// Analyze computes the fragmentation of a network under a dead-cable set.
+// It is the exact full-graph reference: labels come from a fresh
+// Components pass over every edge. The Monte Carlo loop in
 // MeanFragmentation produces identical summaries through the plan's core
 // contraction instead.
-func Analyze(net *topology.Network, cableDead []bool) (*Fragmentation, error) {
-	if len(cableDead) != len(net.Cables) {
-		return nil, errors.New("partition: death vector length mismatch")
+func Analyze(net *topology.Network, cableDead graph.Bitset) (*Fragmentation, error) {
+	if len(cableDead) != graph.BitsetWords(len(net.Cables)) {
+		return nil, errors.New("partition: dead-cable set length mismatch")
 	}
-	g := net.Graph()
-	mask := net.AliveMask(cableDead)
-	labels, _ := g.Components(mask)
+	labels, _ := net.Graph().Components(net.DeadEdgeBitsInto(nil, cableDead))
 	return aggregate(net, cableDead, func(i int) int { return labels[i] }), nil
 }
 
@@ -56,7 +54,7 @@ func Analyze(net *topology.Network, cableDead []bool) (*Fragmentation, error) {
 // is what lets the contracted union-find (labels are supernode roots) and
 // the full-graph labelling (labels are dense component indices) share this
 // code and produce identical output.
-func aggregate(net *topology.Network, cableDead []bool, labelOf func(i int) int) *Fragmentation {
+func aggregate(net *topology.Network, cableDead graph.Bitset, labelOf func(i int) int) *Fragmentation {
 	g := net.Graph()
 	// Only nodes with a live cable participate in "components".
 	iso := map[int]bool{}
@@ -140,7 +138,6 @@ func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm floa
 	if est != nil {
 		logw = make([]float64, failure.MaxBatch)
 	}
-	deadBools := make([]bool, plan.NumCables())
 	for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
 		bn := trials - t0
 		if bn > failure.MaxBatch {
@@ -159,9 +156,8 @@ func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm floa
 			sumW += w
 			sumW2 += w * w
 			dead := batch.Row(b)
-			dead.Expand(deadBools) // the isolated-node walk still speaks []bool
 			uf := scratch.ComponentsCore(cc, dead)
-			f := aggregate(net, deadBools, func(i int) int {
+			f := aggregate(net, dead, func(i int) int {
 				return uf.Find(int(cc.Super(graph.NodeID(i))))
 			})
 			comps += w * float64(f.Components)
@@ -460,7 +456,7 @@ func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, tri
 	if err != nil {
 		return 0, err
 	}
-	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b, false)
+	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b)
 }
 
 // nodeIDsOf is nodesOf as graph node IDs, for the scratch connectivity

@@ -10,6 +10,7 @@ import (
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -25,7 +26,7 @@ func world(t *testing.T) *dataset.World {
 
 func TestAnalyzeNoFailures(t *testing.T) {
 	net := world(t).Submarine
-	f, err := Analyze(net, make([]bool, len(net.Cables)))
+	f, err := Analyze(net, graph.NewBitset(len(net.Cables)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,8 @@ func TestAnalyzeNoFailures(t *testing.T) {
 
 func TestAnalyzeAllDead(t *testing.T) {
 	net := world(t).Submarine
-	dead := make([]bool, len(net.Cables))
-	for i := range dead {
-		dead[i] = true
-	}
+	dead := graph.NewBitset(len(net.Cables))
+	dead.SetRange(0, len(net.Cables))
 	f, err := Analyze(net, dead)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,7 @@ func TestAnalyzeAllDead(t *testing.T) {
 
 func TestAnalyzeLengthMismatch(t *testing.T) {
 	net := world(t).Submarine
-	if _, err := Analyze(net, make([]bool, 3)); err == nil {
+	if _, err := Analyze(net, graph.NewBitset(3)); err == nil {
 		t.Error("want length mismatch error")
 	}
 }
@@ -194,7 +193,9 @@ func TestAnalyzeSyntheticPartition(t *testing.T) {
 			{Name: "bridge", Segments: []topology.Segment{{A: 1, B: 2, LengthKm: 9000}}},
 		},
 	}
-	f, err := Analyze(net, []bool{false, false, true})
+	bridge := graph.NewBitset(len(net.Cables))
+	bridge.Set(2)
+	f, err := Analyze(net, bridge)
 	if err != nil {
 		t.Fatal(err)
 	}

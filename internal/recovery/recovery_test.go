@@ -10,6 +10,7 @@ import (
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
+	"gicnet/internal/graph"
 	"gicnet/internal/topology"
 	"gicnet/internal/xrand"
 )
@@ -175,11 +176,11 @@ func TestSchedulerPrioritisesReconnection(t *testing.T) {
 
 	// Find a cable whose death isolates nodes, and one that doesn't.
 	var valuable, redundant = -1, -1
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for ci := range net.Cables {
-		dead[ci] = true
+		dead.Set(ci)
 		iso := len(net.UnreachableNodes(dead))
-		dead[ci] = false
+		dead.Unset(ci)
 		if iso > 0 && valuable < 0 {
 			valuable = ci
 		}
@@ -340,9 +341,9 @@ func TestPlannerAnswersPinned(t *testing.T) {
 // fresh UnreachableNodes pass over the whole network, O(faults² · nodes)
 // per schedule. Faults must name distinct cables.
 func planRecoveryReference(net *topology.Network, faults []Fault, fleet []Ship, opts Options) *Schedule {
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	for _, f := range faults {
-		dead[f.Cable] = true
+		dead.Set(f.Cable)
 	}
 	baselineUnreachable := len(net.UnreachableNodes(dead))
 	preStormReachable := net.ConnectedNodeCount()
@@ -371,12 +372,12 @@ func planRecoveryReference(net *topology.Network, faults []Fault, fleet []Ship, 
 			transit := geo.Haversine(ship.pos, f.Location) / ship.ship.SpeedKmPerDay
 			repair := opts.BaseDays + opts.DaysPerRepeater*float64(f.DamagedRepeaters)
 			done := ship.free + transit + repair
-			dead[f.Cable] = false
+			dead.Unset(f.Cable)
 			restored := 0
 			if baselineUnreachable > 0 {
 				restored = baselineUnreachable - len(net.UnreachableNodes(dead))
 			}
-			dead[f.Cable] = true
+			dead.Set(f.Cable)
 			rate := (float64(restored) + 0.1) / (transit + repair)
 			if rate > bestRate {
 				bestRate, bestIdx, bestDone = rate, fi, done
@@ -384,7 +385,7 @@ func planRecoveryReference(net *topology.Network, faults []Fault, fleet []Ship, 
 		}
 		f := pending[bestIdx]
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		dead[f.Cable] = false
+		dead.Unset(f.Cable)
 		baselineUnreachable = len(net.UnreachableNodes(dead))
 		sched.Events = append(sched.Events, Event{
 			Ship:  ship.ship.Name,
@@ -404,11 +405,9 @@ func planRecoveryReference(net *topology.Network, faults []Fault, fleet []Ship, 
 	for ci := range net.Cables {
 		cableIdx[net.Cables[ci].Name] = ci
 	}
-	for i := range dead {
-		dead[i] = false
-	}
+	dead.Clear()
 	for _, f := range faults {
-		dead[f.Cable] = true
+		dead.Set(f.Cable)
 	}
 	milestones := []float64{0.5, 0.9, 0.95, 1.0}
 	unreachable := len(net.UnreachableNodes(dead))
@@ -423,7 +422,7 @@ func planRecoveryReference(net *topology.Network, faults []Fault, fleet []Ship, 
 	record(0)
 	for ei := range sched.Events {
 		e := &sched.Events[ei]
-		dead[cableIdx[e.Cable]] = false
+		dead.Unset(cableIdx[e.Cable])
 		now := len(net.UnreachableNodes(dead))
 		e.NodesRestored = unreachable - now
 		unreachable = now
@@ -447,9 +446,11 @@ func restorationCurveReference(s *Schedule, net *topology.Network, faults []Faul
 	}
 	out := make([]float64, len(days))
 	for di, day := range days {
-		cur := make([]bool, len(net.Cables))
+		cur := graph.NewBitset(len(net.Cables))
 		for _, f := range faults {
-			cur[f.Cable] = repairDay[net.Cables[f.Cable].Name] > day
+			if repairDay[net.Cables[f.Cable].Name] > day {
+				cur.Set(f.Cable)
+			}
 		}
 		out[di] = float64(total-len(net.UnreachableNodes(cur))) / float64(total)
 	}

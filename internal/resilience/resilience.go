@@ -82,15 +82,18 @@ func Evaluate(w *dataset.World, p Placement, m failure.Model, spacingKm float64,
 		replicaNodes = append(replicaNodes, best)
 	}
 
+	plan, err := failure.Compile(net, m, spacingKm)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Placement: p.Name, Model: m.Name(), WorstTrial: 1}
 	root := xrand.New(seed)
+	dead := plan.NewDead()
+	var deadEdges graph.Bitset
 	for ti := 0; ti < trials; ti++ {
-		dead, err := failure.SampleCableDeaths(net, m, spacingKm, root.Split(uint64(ti)))
-		if err != nil {
-			return nil, err
-		}
-		mask := net.AliveMask(dead)
-		labels, _ := g.Components(mask)
+		plan.SampleDense(dead, root.Split(uint64(ti)))
+		deadEdges = net.DeadEdgeBitsInto(deadEdges, dead)
+		labels, _ := g.Components(deadEdges)
 
 		// Partitions that contain a replica.
 		served := map[int]bool{}

@@ -16,6 +16,7 @@ import (
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
 	"gicnet/internal/gic"
+	"gicnet/internal/graph"
 	"gicnet/internal/grid"
 	"gicnet/internal/partition"
 	"gicnet/internal/recovery"
@@ -119,7 +120,7 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 
 	// Phase 2 — impact: sample cable deaths using the plan's per-cable
 	// probabilities (powered-off where planned).
-	dead := make([]bool, len(net.Cables))
+	dead := graph.NewBitset(len(net.Cables))
 	nameToIdx := make(map[string]int, len(net.Cables))
 	for ci := range net.Cables {
 		nameToIdx[net.Cables[ci].Name] = ci
@@ -129,7 +130,13 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 		if cfg.ApplyShutdown && a.PowerOff {
 			p = a.DeathOff
 		}
-		dead[nameToIdx[a.Cable]] = rng.Bool(p)
+		// Assign rather than only set: cables sharing a name map to one
+		// index, and the later action decides it.
+		if ci := nameToIdx[a.Cable]; rng.Bool(p) {
+			dead.Set(ci)
+		} else {
+			dead.Unset(ci)
+		}
 	}
 
 	// Phase 3 — grid cascade.
@@ -146,11 +153,7 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 		dead = coupled
 		rep.StationsDark = darkCount
 	}
-	for _, d := range dead {
-		if d {
-			rep.CablesDead++
-		}
-	}
+	rep.CablesDead = dead.Count()
 	rep.NodesIsolated = len(net.UnreachableNodes(dead))
 
 	// Phase 4 — partition structure.
@@ -160,13 +163,16 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 	}
 	rep.Fragmentation = frag
 
-	// Phase 5 — traffic re-routing.
+	// Phase 5 — traffic re-routing. Routing and the recovery campaign take
+	// the dead set unpacked.
+	deadBools := make([]bool, len(net.Cables))
+	dead.Expand(deadBools)
 	demands := routing.DefaultDemands()
 	before, err := routing.Route(net, demands, nil)
 	if err != nil {
 		return nil, err
 	}
-	after, err := routing.Route(net, demands, dead)
+	after, err := routing.Route(net, demands, deadBools)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +194,7 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 	rep.Satellite = sat
 
 	// Phase 7 — recovery campaign.
-	faults, err := recovery.FaultsFrom(net, dead, cfg.SpacingKm, cfg.FaultSeverity, rng)
+	faults, err := recovery.FaultsFrom(net, deadBools, cfg.SpacingKm, cfg.FaultSeverity, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -221,9 +227,8 @@ func Run(w *dataset.World, cfg Config) (*Report, error) {
 
 // regionLoss computes each region's share of landing points that lost all
 // connectivity or were split from the region's dominant partition.
-func regionLoss(net *topology.Network, dead []bool) map[geo.Region]float64 {
-	g := net.Graph()
-	labels, _ := g.Components(net.AliveMask(dead))
+func regionLoss(net *topology.Network, dead graph.Bitset) map[geo.Region]float64 {
+	labels, _ := net.Graph().Components(net.DeadEdgeBitsInto(nil, dead))
 	iso := map[int]bool{}
 	for _, n := range net.UnreachableNodes(dead) {
 		iso[n] = true

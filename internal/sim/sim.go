@@ -146,18 +146,6 @@ func (r *Result) WeightedMean(f func(failure.Outcome) float64) float64 {
 	return total / float64(len(r.Outcomes))
 }
 
-// WeightedVariance returns the population variance of the per-trial
-// estimator terms w_i f(outcome_i) — the quantity whose reduction the
-// rare-event layer's benchmarks gate on, since the estimator's variance is
-// this divided by the trial count.
-func (r *Result) WeightedVariance(f func(failure.Outcome) float64) float64 {
-	var run stats.Running
-	for i, o := range r.Outcomes {
-		run.Add(r.Weight(i) * f(o))
-	}
-	return run.Variance()
-}
-
 // ESS returns Kish's effective sample size (sum w)^2 / sum w^2 — how many
 // plain trials the weighted sample is worth for mean estimation. On the
 // plain path it equals the trial count; a collapsing ESS is the standard
@@ -573,60 +561,38 @@ func ForEachWorker(ctx context.Context, n, workers int, fn func(worker, i int) e
 // trial loop behind the country-connectivity analysis and the partition
 // layer's probe survival.
 //
-// By default each trial is answered on the plan's core contraction — the
-// dead CABLE bitset is the query mask, so the per-trial cable→edge
-// projection and the full-graph union-find both disappear. direct=true
-// forces the full-graph reference path (edge projection + ComponentsBits);
-// both engines return identical verdicts trial for trial, which the
-// contracted-direct-parity invariant and the differential tests pin.
-func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to []graph.NodeID, direct bool) (float64, error) {
+// Each trial is answered on the plan's core contraction — the dead CABLE
+// bitset is the query mask, so the per-trial cable→edge projection and the
+// full-graph union-find both disappear. The full-graph verdict
+// (DeadEdgeBitsInto + AnyConnectedBits) is the reference it is checked
+// against trial for trial by the contracted-direct-parity invariant.
+func PairSurvival(ctx context.Context, plan *failure.Plan, trials int, seed uint64, from, to []graph.NodeID) (float64, error) {
 	if trials <= 0 {
 		return 0, errors.New("sim: trials must be positive")
 	}
 	if len(from) == 0 || len(to) == 0 {
 		return 0, errors.New("sim: empty connectivity node set")
 	}
-	net := plan.Network()
-	scratch := net.Graph().NewScratch()
+	scratch := plan.Network().Graph().NewScratch()
 	var batch failure.BatchScratch
 	batch.Grow(plan)
 	root := *xrand.New(seed)
+	cc := plan.Contraction()
+	fromSupers := cc.SupersOf(nil, from)
+	toSupers := cc.SupersOf(nil, to)
 	survived := 0
-	if direct {
-		var deadEdges graph.Bitset
-		for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			n := trials - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
-			}
-			plan.SampleBatch(&batch, &root, uint64(t0), n)
-			for b := 0; b < n; b++ {
-				deadEdges = net.DeadEdgeBitsInto(deadEdges, batch.Row(b))
-				if scratch.AnyConnectedBits(deadEdges, from, to) {
-					survived++
-				}
-			}
+	for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-	} else {
-		cc := plan.Contraction()
-		fromSupers := cc.SupersOf(nil, from)
-		toSupers := cc.SupersOf(nil, to)
-		for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			n := trials - t0
-			if n > failure.MaxBatch {
-				n = failure.MaxBatch
-			}
-			plan.SampleBatch(&batch, &root, uint64(t0), n)
-			for b := 0; b < n; b++ {
-				if scratch.AnyConnectedSupers(cc, batch.Row(b), fromSupers, toSupers) {
-					survived++
-				}
+		n := trials - t0
+		if n > failure.MaxBatch {
+			n = failure.MaxBatch
+		}
+		plan.SampleBatch(&batch, &root, uint64(t0), n)
+		for b := 0; b < n; b++ {
+			if scratch.AnyConnectedSupers(cc, batch.Row(b), fromSupers, toSupers) {
+				survived++
 			}
 		}
 	}

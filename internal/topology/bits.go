@@ -193,10 +193,10 @@ func (n *Network) ContractionCacheStats() (hits, misses uint64) {
 	return n.contractHits, n.contractMisses
 }
 
-// DeadEdgeBitsInto projects per-cable death onto graph edges as a packed
-// bitset: every segment edge of a dead cable is marked dead. It is the
-// bitset form of AliveMaskInto (with inverted polarity) and reuses dst's
-// backing array, so per-worker scratch projects trials without allocating.
+// DeadEdgeBitsInto projects a dead-cable set onto graph edges as a packed
+// dead-edge set: every segment edge of a dead cable is marked dead — the
+// edge mask every graph connectivity query takes. It reuses dst's backing
+// array, so per-worker scratch projects trials without allocating.
 func (n *Network) DeadEdgeBitsInto(dst graph.Bitset, cableDead graph.Bitset) graph.Bitset {
 	g := n.Graph()
 	dst = graph.GrowBitset(dst, g.NumEdges())

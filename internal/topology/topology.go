@@ -63,12 +63,19 @@ func (c *Cable) LengthKm() float64 {
 
 // RepeaterCount returns the number of repeaters at the given inter-repeater
 // spacing: one per full spacing interval. Cables shorter than the spacing
-// need no repeater and are immune to GIC in the paper's model.
+// need no repeater and are immune to GIC in the paper's model. At tiny
+// spacings the count saturates at math.MaxInt: the quotient is compared in
+// float space before converting, since an out-of-range float→int
+// conversion is implementation-defined.
 func (c *Cable) RepeaterCount(spacingKm float64) int {
 	if spacingKm <= 0 {
 		return 0
 	}
-	return int(c.LengthKm() / spacingKm)
+	r := c.LengthKm() / spacingKm
+	if r >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(r)
 }
 
 // Network is a named set of nodes and cables.
@@ -198,26 +205,6 @@ func (n *Network) Graph() *graph.Graph {
 	return n.g
 }
 
-// AliveMask projects per-cable death onto graph edges: every segment of a
-// dead cable is dead.
-func (n *Network) AliveMask(cableDead []bool) graph.AliveMask {
-	return n.AliveMaskInto(nil, cableDead)
-}
-
-// AliveMaskInto is AliveMask writing into dst (grown if needed), so per-
-// worker scratch can project cable deaths without allocating per trial.
-func (n *Network) AliveMaskInto(dst graph.AliveMask, cableDead []bool) graph.AliveMask {
-	g := n.Graph()
-	if cap(dst) < g.NumEdges() {
-		dst = make(graph.AliveMask, g.NumEdges())
-	}
-	dst = dst[:g.NumEdges()]
-	for e := range dst {
-		dst[e] = !cableDead[n.edgeCable[e]]
-	}
-	return dst
-}
-
 // CableIncidence returns the CSR mapping from each node to its distinct
 // incident cable indices: node i's cables are list[start[i]:start[i+1]].
 // Built once and cached; the returned slices are shared and must not be
@@ -270,46 +257,28 @@ func (n *Network) buildIncidence() {
 }
 
 // UnreachableNodes returns the indices of nodes whose incident cables are
-// all dead — the paper's per-node failure criterion (§4.3.1). Nodes that
-// had no cables at all are never counted.
-func (n *Network) UnreachableNodes(cableDead []bool) []int {
+// all dead in the dead-cable set — the paper's per-node failure criterion
+// (§4.3.1). Nodes that had no cables at all are never counted.
+func (n *Network) UnreachableNodes(cableDead graph.Bitset) []int {
 	start, list := n.CableIncidence()
 	var out []int
 	for i := 0; i < len(n.Nodes); i++ {
-		if n.nodeAlive(start, list, i, cableDead) {
+		cables := list[start[i]:start[i+1]]
+		if len(cables) == 0 {
 			continue
 		}
-		out = append(out, i)
+		alive := false
+		for _, ci := range cables {
+			if !cableDead.Get(int(ci)) {
+				alive = true
+				break
+			}
+		}
+		if !alive {
+			out = append(out, i)
+		}
 	}
 	return out
-}
-
-// CountUnreachable is UnreachableNodes without materialising the index
-// slice — the Monte Carlo trial loop only needs the count.
-func (n *Network) CountUnreachable(cableDead []bool) int {
-	start, list := n.CableIncidence()
-	count := 0
-	for i := 0; i < len(n.Nodes); i++ {
-		if !n.nodeAlive(start, list, i, cableDead) {
-			count++
-		}
-	}
-	return count
-}
-
-// nodeAlive reports whether node i has at least one live incident cable.
-// Nodes with no cables at all count as alive: they were never connected.
-func (n *Network) nodeAlive(start, list []int32, i int, cableDead []bool) bool {
-	s, e := start[i], start[i+1]
-	if s == e {
-		return true
-	}
-	for _, ci := range list[s:e] {
-		if !cableDead[ci] {
-			return true
-		}
-	}
-	return false
 }
 
 // ConnectedNodeCount returns the number of nodes with at least one cable.
@@ -521,15 +490,16 @@ func (n *Network) NodeIndexByName(name string) int {
 // disconnects the network (increases its connected-component count) —
 // single points of failure in the §5.1 topology-design sense.
 func (n *Network) CriticalCables() []int {
-	g := n.Graph()
-	_, base := g.Components(nil)
-	dead := make([]bool, len(n.Cables))
+	scratch := n.Graph().NewScratch()
+	base := scratch.ComponentsBits(nil).Sets()
+	dead := graph.NewBitset(len(n.Cables))
+	var deadEdges graph.Bitset
 	var out []int
 	for ci := range n.Cables {
-		dead[ci] = true
-		_, count := g.Components(n.AliveMask(dead))
-		dead[ci] = false
-		if count > base {
+		dead.Set(ci)
+		deadEdges = n.DeadEdgeBitsInto(deadEdges, dead)
+		dead.Unset(ci)
+		if scratch.ComponentsBits(deadEdges).Sets() > base {
 			out = append(out, ci)
 		}
 	}

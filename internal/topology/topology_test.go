@@ -116,31 +116,41 @@ func TestGraphProjection(t *testing.T) {
 	}
 }
 
-func TestAliveMaskCableDeathKillsAllSegments(t *testing.T) {
-	n := testNetwork()
-	dead := []bool{false, false, true} // kill branched c2
-	mask := n.AliveMask(dead)
-	alive := 0
-	for _, a := range mask {
-		if a {
-			alive++
-		}
+// cableSet returns a dead-cable bitset over n's cables with the given
+// cables set.
+func cableSet(n *Network, dead ...int) graph.Bitset {
+	b := graph.NewBitset(len(n.Cables))
+	for _, ci := range dead {
+		b.Set(ci)
 	}
-	if alive != 2 {
-		t.Errorf("alive segments = %d, want 2 (both c2 segments dead)", alive)
+	return b
+}
+
+func TestDeadEdgeBitsCableDeathKillsAllSegments(t *testing.T) {
+	n := testNetwork()
+	deadEdges := n.DeadEdgeBitsInto(nil, cableSet(n, 2)) // kill branched c2
+	if got := deadEdges.Count(); got != 2 {
+		t.Errorf("dead segments = %d, want 2 (both c2 segments dead)", got)
+	}
+	if !deadEdges.Get(2) || !deadEdges.Get(3) {
+		t.Errorf("dead edges = %b, want c2's segments 2 and 3", deadEdges)
+	}
+	// The projection reuses dst and clears the previous trial's edges.
+	deadEdges = n.DeadEdgeBitsInto(deadEdges, cableSet(n, 0))
+	if deadEdges.Count() != 1 || !deadEdges.Get(0) {
+		t.Errorf("reused dst: dead edges = %b, want only c0's segment", deadEdges)
 	}
 }
 
 func TestUnreachableNodes(t *testing.T) {
 	n := testNetwork()
 	// kill c2: fortaleza and santos lose all cables; miami keeps c1.
-	dead := []bool{false, false, true}
-	got := n.UnreachableNodes(dead)
+	got := n.UnreachableNodes(cableSet(n, 2))
 	if len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Errorf("UnreachableNodes = %v, want [3 4]", got)
 	}
 	// lonely node (no cables ever) must not be reported even with all dead
-	got = n.UnreachableNodes([]bool{true, true, true})
+	got = n.UnreachableNodes(cableSet(n, 0, 1, 2))
 	if len(got) != 5 {
 		t.Errorf("all cables dead: %d unreachable, want 5 (lonely excluded)", len(got))
 	}
@@ -344,24 +354,6 @@ func TestCableIncidence(t *testing.T) {
 	}
 }
 
-func TestCountUnreachableMatchesUnreachableNodes(t *testing.T) {
-	n := testNetwork()
-	masks := [][]bool{
-		make([]bool, len(n.Cables)),
-		{true, false, false},
-		{true, true, false},
-		{true, true, true},
-	}
-	for _, dead := range masks {
-		if len(dead) != len(n.Cables) {
-			continue
-		}
-		if got, want := n.CountUnreachable(dead), len(n.UnreachableNodes(dead)); got != want {
-			t.Errorf("dead=%v: CountUnreachable %d, len(UnreachableNodes) %d", dead, got, want)
-		}
-	}
-}
-
 // TestDerivedCachesConcurrentFirstUse drives every lazily-built cache from
 // many goroutines at once; run under -race this verifies the sync.Once
 // guards that parallel sweeps rely on.
@@ -379,27 +371,10 @@ func TestDerivedCachesConcurrentFirstUse(t *testing.T) {
 				n.CableBand(ci)
 				n.CableBandByPath(ci)
 			}
-			n.AliveMask(make([]bool, len(n.Cables)))
+			n.DeadEdgeBitsInto(nil, cableSet(n))
 		}()
 	}
 	wg.Wait()
-}
-
-func TestAliveMaskInto(t *testing.T) {
-	n := testNetwork()
-	dead := make([]bool, len(n.Cables))
-	dead[0] = true
-	want := n.AliveMask(dead)
-	buf := make([]bool, 0, 16)
-	got := n.AliveMaskInto(buf, dead)
-	if len(got) != len(want) {
-		t.Fatalf("mask length %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("mask[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
 }
 
 // chainNetwork builds a path of n+1 nodes joined by n single-segment

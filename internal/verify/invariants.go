@@ -293,7 +293,9 @@ func nodeIDs(xs []int) []graph.NodeID {
 // checkUnionFindBFSAgreement cross-validates the two connectivity
 // implementations on random graphs: every BFS reachable set must be
 // exactly one union-find component, and the component count from the two
-// algorithms must agree under random edge masks.
+// algorithms must agree under random dead-edge sets. Edge counts are
+// rarely a multiple of 64, and the first graph uses the nil (all-alive)
+// set.
 func checkUnionFindBFSAgreement(seed uint64) Result {
 	const name = "unionfind-bfs-agreement"
 	rng := xrand.New(seed ^ 0xbf5)
@@ -309,12 +311,17 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 		for e := 0; e < m; e++ {
 			g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))) // self-loops allowed
 		}
-		mask := make(graph.AliveMask, g.NumEdges())
-		for e := range mask {
-			mask[e] = r.Bool(0.6)
+		dead := graph.NewBitset(g.NumEdges())
+		for e := 0; e < g.NumEdges(); e++ {
+			if !r.Bool(0.6) {
+				dead.Set(e)
+			}
+		}
+		if gi == 0 {
+			dead = nil
 		}
 		scratch := g.NewScratch()
-		uf := scratch.Components(mask)
+		uf := scratch.ComponentsBits(dead)
 		// BFS flood fill from every unvisited node; compare against the
 		// union-find labelling.
 		visited := make([]bool, n)
@@ -326,7 +333,7 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 			}
 			bfsComponents++
 			var err error
-			buf, err = scratch.Reachable(buf[:0], graph.NodeID(start), mask)
+			buf, err = scratch.Reachable(buf[:0], graph.NodeID(start), dead)
 			if err != nil {
 				return fail(name, "graph %d: reachable(%d): %v", gi, start, err)
 			}
@@ -339,12 +346,12 @@ func checkUnionFindBFSAgreement(seed uint64) Result {
 				}
 			}
 		}
-		if ufCount := g.ComponentCount(mask); ufCount != bfsComponents {
+		if _, ufCount := g.Components(dead); ufCount != bfsComponents {
 			return fail(name, "graph %d (n=%d m=%d): union-find sees %d components, BFS sees %d",
 				gi, n, m, ufCount, bfsComponents)
 		}
 	}
-	return pass(name, "%d random graphs: BFS and union-find agree on components under random masks", graphs)
+	return pass(name, "%d random graphs: BFS and union-find agree on components under random dead-edge sets", graphs)
 }
 
 // checkPlanMatchesDirectPath verifies the compiled fast path against the
@@ -398,55 +405,105 @@ func checkPlanMatchesDirectPath(w *dataset.World, seed uint64) Result {
 	return pass(name, "plan sampling and evaluation bit-identical to the direct path on all networks")
 }
 
-// checkContractedDirectParity proves the two connectivity engines are
-// interchangeable at the experiment level: the Figure 6/7 sweep and the
-// country-connectivity analysis must produce identical result fingerprints
-// whether the trial loops run on the plan's core contraction (the default)
-// or the full-graph union-find reference path, at worker budgets 1 and 4.
-// Equal fingerprints across the 2x2 engine-by-workers matrix mean every
-// number in those experiments is byte-identical — the contraction is a pure
-// performance transform.
+// checkContractedDirectParity proves the core contraction is a pure
+// performance transform of pair connectivity. For every pair of the
+// country cases under S1 and S2 at 150 km it replays sim.PairSurvival's
+// SampleBatch rows and requires the contracted verdict (AnyConnectedSupers
+// on the dead-cable row) to equal the full-graph verdict (DeadEdgeBitsInto
+// + AnyConnectedBits) trial by trial, and the survived count to match
+// sim.PairSurvival. The Figure 6/7 sweep and the country analysis must
+// also produce identical result fingerprints at worker budgets 1 and 4.
 func checkContractedDirectParity(w *dataset.World, seed uint64) Result {
 	const name = "contracted-direct-parity"
+	const trials = 2*failure.MaxBatch + 9 // two full blocks and a partial one
 	ctx := context.Background()
 	cases := []experiments.CountryCase{
 		{Target: "us", Partners: []core.Target{"region:europe", "br"}},
 		{Target: "au", Partners: []core.Target{"nz", "sg"}},
 	}
+	net := w.Submarine
+	scratch := net.Graph().NewScratch()
+	var batch failure.BatchScratch
+	var deadEdges graph.Bitset
+	verdicts := 0
+	for _, m := range []failure.Model{failure.S1(), failure.S2()} {
+		plan, err := failure.Compile(net, m, 150)
+		if err != nil {
+			return fail(name, "compile %s: %v", m.Name(), err)
+		}
+		cc := plan.Contraction()
+		batch.Grow(plan)
+		for _, c := range cases {
+			for _, partner := range c.Partners {
+				fromNodes, err := core.Resolve(net, c.Target)
+				if err != nil {
+					return fail(name, "%v", err)
+				}
+				toNodes, err := core.Resolve(net, partner)
+				if err != nil {
+					return fail(name, "%v", err)
+				}
+				from, to := nodeIDs(fromNodes), nodeIDs(toNodes)
+				fromSupers, toSupers := cc.SupersOf(nil, from), cc.SupersOf(nil, to)
+				root := *xrand.New(seed)
+				survived := 0
+				for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
+					n := min(trials-t0, failure.MaxBatch)
+					plan.SampleBatch(&batch, &root, uint64(t0), n)
+					for b := 0; b < n; b++ {
+						contracted := scratch.AnyConnectedSupers(cc, batch.Row(b), fromSupers, toSupers)
+						deadEdges = net.DeadEdgeBitsInto(deadEdges, batch.Row(b))
+						if direct := scratch.AnyConnectedBits(deadEdges, from, to); direct != contracted {
+							return fail(name, "%s %s-%s trial %d: contracted verdict %v, full-graph verdict %v",
+								m.Name(), c.Target, partner, t0+b, contracted, direct)
+						}
+						if contracted {
+							survived++
+						}
+						verdicts++
+					}
+				}
+				prob, err := sim.PairSurvival(ctx, plan, trials, seed, from, to)
+				if err != nil {
+					return fail(name, "PairSurvival %s %s-%s: %v", m.Name(), c.Target, partner, err)
+				}
+				if got := int(math.Round(prob * trials)); got != survived {
+					return fail(name, "%s %s-%s: PairSurvival counts %d of %d trials survived, replayed verdicts %d",
+						m.Name(), c.Target, partner, got, trials, survived)
+				}
+			}
+		}
+	}
 	var wantFig, wantCountry uint64
-	runs := 0
-	for _, workers := range []int{1, 4} {
-		for _, direct := range []bool{false, true} {
-			cfg := experiments.Config{Trials: 4, Seed: seed, Workers: workers, DirectConnectivity: direct}
-			fig, err := experiments.Fig67(ctx, w, cfg)
-			if err != nil {
-				return fail(name, "fig67 workers=%d direct=%v: %v", workers, direct, err)
-			}
-			figFP, err := jsonFingerprint(fig)
-			if err != nil {
-				return fail(name, "fig67 fingerprint: %v", err)
-			}
-			country, err := experiments.Countries(ctx, w, cfg, cases)
-			if err != nil {
-				return fail(name, "countries workers=%d direct=%v: %v", workers, direct, err)
-			}
-			countryFP, err := jsonFingerprint(country)
-			if err != nil {
-				return fail(name, "countries fingerprint: %v", err)
-			}
-			if runs == 0 {
-				wantFig, wantCountry = figFP, countryFP
-			} else if figFP != wantFig || countryFP != wantCountry {
-				return fail(name,
-					"workers=%d direct=%v: fingerprints fig67=%016x country=%016x diverge from fig67=%016x country=%016x",
-					workers, direct, figFP, countryFP, wantFig, wantCountry)
-			}
-			runs++
+	for i, workers := range []int{1, 4} {
+		cfg := experiments.Config{Trials: 4, Seed: seed, Workers: workers}
+		fig, err := experiments.Fig67(ctx, w, cfg)
+		if err != nil {
+			return fail(name, "fig67 workers=%d: %v", workers, err)
+		}
+		figFP, err := jsonFingerprint(fig)
+		if err != nil {
+			return fail(name, "fig67 fingerprint: %v", err)
+		}
+		country, err := experiments.Countries(ctx, w, cfg, cases)
+		if err != nil {
+			return fail(name, "countries workers=%d: %v", workers, err)
+		}
+		countryFP, err := jsonFingerprint(country)
+		if err != nil {
+			return fail(name, "countries fingerprint: %v", err)
+		}
+		if i == 0 {
+			wantFig, wantCountry = figFP, countryFP
+		} else if figFP != wantFig || countryFP != wantCountry {
+			return fail(name,
+				"workers=%d: fingerprints fig67=%016x country=%016x diverge from fig67=%016x country=%016x",
+				workers, figFP, countryFP, wantFig, wantCountry)
 		}
 	}
 	return pass(name,
-		"fig6/7 and country sweeps fingerprint-identical across engines {contracted,direct} x workers {1,4} (fig67=%016x, country=%016x)",
-		wantFig, wantCountry)
+		"%d country-pair trials: contracted and full-graph verdicts identical and matching PairSurvival; fig6/7 and country sweeps fingerprint-identical across workers {1,4} (fig67=%016x, country=%016x)",
+		verdicts, wantFig, wantCountry)
 }
 
 // checkSamplerEquivalence is the old-vs-new sampler distribution proof: the
