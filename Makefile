@@ -28,8 +28,7 @@ vet:
 # over every package in the module — twice, because the purego build swaps
 # the assembly kernel dispatch files for pure-Go variants that must satisfy
 # the same contracts. Use `go run ./cmd/gicnetlint -json` for
-# machine-readable diagnostics, and `-changed` to lint only the packages
-# that differ from the lint-baseline.json snapshot while iterating.
+# machine-readable diagnostics, and `-analyzers a,b` to run a subset.
 lint:
 	$(GO) run ./cmd/gicnetlint -root .
 	$(GO) run ./cmd/gicnetlint -root . -tags purego
@@ -100,8 +99,8 @@ bench-snapshot:
 	$(GO) run ./cmd/benchdiff -bench '.' -pkg . -count 3
 
 # Perf gate: rerun the latest BENCH_*.json snapshot's benchmark selection
-# and fail if any common benchmark regressed more than 15% ns/op, or if the
-# contracted connectivity trial loop falls below 2x over the direct engine
-# (the speedup gates hardcoded in cmd/benchdiff).
+# and fail if any common benchmark regressed more than 15% ns/op, or if a
+# claimed speedup, variance reduction or serving ratio falls below its floor
+# (the gate table in cmd/benchdiff).
 bench-check:
 	$(GO) run ./cmd/benchdiff -check

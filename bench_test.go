@@ -342,7 +342,7 @@ func BenchmarkAblationSimWorkers(b *testing.B) {
 // sweep batching — not world-generation amortisation.
 func BenchmarkServeMix(b *testing.B) {
 	w := benchWorld(b)
-	opts := loadtest.Options{Requests: 256, Concurrency: 8}
+	opts := loadtest.Options{Requests: 256}
 	for _, mode := range []string{"nocache", "full"} {
 		b.Run(mode, func(b *testing.B) {
 			srv, err := serve.New(serve.Config{

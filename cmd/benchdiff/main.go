@@ -174,160 +174,131 @@ func main() {
 		}
 	}
 	if *check {
-		if failed := checkSpeedups(snap, *pkgs, *benchtime); len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: speedup gate failed: %s\n", strings.Join(failed, "; "))
-			os.Exit(1)
-		}
-		if failed := checkMetrics(snap); len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: metric gate failed: %s\n", strings.Join(failed, "; "))
-			os.Exit(1)
-		}
-		if failed := checkThroughput(snap, *pkgs, *benchtime); len(failed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: throughput gate failed: %s\n", strings.Join(failed, "; "))
+		rerun := func(name string) (*Snapshot, error) { return run(anchored(name), *pkgs, 1, *benchtime) }
+		if failed := checkGates(gates, snap, rerun); len(failed) > 0 {
+			fmt.Fprintf(os.Stderr, "benchdiff: gate failed: %s\n", strings.Join(failed, "; "))
 			os.Exit(1)
 		}
 	}
 }
 
-// speedupGates are performance claims the gate re-proves on every run, not
-// just guards against regression: Fast must beat Slow by at least MinRatio
-// in the fresh measurements. Both names must appear in the run's selection
-// for a gate to apply.
-var speedupGates = []struct {
-	Fast, Slow string
-	MinRatio   float64
-}{
+// gate is a performance claim the check re-proves on every run, not just
+// a guard against regression: in the fresh measurements, the High
+// benchmark's Unit value must be at least MinRatio times the Low
+// benchmark's. Unit "ns/op" gates a speedup (High is the slow side); any
+// other unit is a custom b.ReportMetric value. Both names must appear in
+// the run's selection, with the measure present, for a gate to apply.
+type gate struct {
+	High, Low string
+	Unit      string
+	MinRatio  float64
+	// Deterministic marks measures that are functions of fixed seeds:
+	// they need no noise filter. A failing wall-clock gate instead reruns
+	// both sides once and keeps each side's best observation (see better)
+	// before declaring failure, mirroring retry's min-of-N filtering.
+	Deterministic bool
+}
+
+var gates = []gate{
 	// The offline-connectivity claim (DESIGN.md "Core contraction"): the
 	// contracted country trial loop is at least 2x faster than the direct
 	// full-graph engine at low-probability sweep points.
-	{"BenchmarkTrialLoopConnectivity/contracted", "BenchmarkTrialLoopConnectivity/direct", 2},
+	{High: "BenchmarkTrialLoopConnectivity/direct", Low: "BenchmarkTrialLoopConnectivity/contracted", Unit: "ns/op", MinRatio: 2},
 	// The batched-kernel claim (DESIGN.md "Batched kernels and CPU
 	// dispatch"): block evaluation beats the per-trial scalar evaluate by
 	// at least 2x at the paper's high-probability sweep points (p >= 0.1),
 	// where the per-trial incidence walk used to dominate.
-	{"BenchmarkTrialLoopHighP/evaluate-batched", "BenchmarkTrialLoopHighP/evaluate-scalar", 2},
+	{High: "BenchmarkTrialLoopHighP/evaluate-scalar", Low: "BenchmarkTrialLoopHighP/evaluate-batched", Unit: "ns/op", MinRatio: 2},
 	// The cross-layer block-scoring claim (DESIGN.md "Cross-layer impact
 	// scoring"): at the sweep's low-probability points the forest-sweep
 	// block scorer beats the scalar union-find reference by at least 2x
 	// per trial.
-	{"BenchmarkCrosslayerTrialLoop/batched", "BenchmarkCrosslayerTrialLoop/scalar", 2},
-}
-
-// metricGates are statistical-efficiency claims proved from custom
-// benchmark metrics: the High benchmark's Unit value must exceed the Low
-// benchmark's by at least MinRatio. Unlike the timing gates these need no
-// noise-filtering rerun — the gated metrics are functions of fixed seeds,
-// so the measured values are deterministic. Both names must appear in the
-// run's selection (with the metric present) for a gate to apply.
-var metricGates = []struct {
-	High, Low string
-	Unit      string
-	MinRatio  float64
-}{
+	{High: "BenchmarkCrosslayerTrialLoop/scalar", Low: "BenchmarkCrosslayerTrialLoop/batched", Unit: "ns/op", MinRatio: 2},
 	// The rare-event variance-reduction claim (DESIGN.md "Rare-event
 	// estimation"): at p=1e-4 and equal trial count, the tilted QMC
 	// estimator cuts the replicate variance of the tail estimate by at
 	// least 10x versus plain Monte Carlo.
-	{"BenchmarkTailEstimate/plain", "BenchmarkTailEstimate/is-qmc", "nvar/est", 10},
-}
-
-// throughputGates are serving-performance claims proved from custom
-// timing metrics (b.ReportMetric units): the High benchmark's Unit value
-// must be at least MinRatio times the Low benchmark's. Unlike
-// metricGates these are wall-clock measurements, so a failing gate
-// reruns both sides once and keeps each side's best observation — max
-// for rate units ("…/s"), min for latency units — before declaring
-// failure, mirroring retry's min-of-N noise filtering.
-var throughputGates = []struct {
-	High, Low string
-	Unit      string
-	MinRatio  float64
-}{
+	{High: "BenchmarkTailEstimate/plain", Low: "BenchmarkTailEstimate/is-qmc", Unit: "nvar/est", MinRatio: 10, Deterministic: true},
 	// The serving-tier claim (DESIGN.md "Serving architecture"): on the
 	// example-workload mix, the fully tiered server sustains at least 3x
 	// the no-cache baseline's request rate...
-	{"BenchmarkServeMix/full", "BenchmarkServeMix/nocache", "req/s", 3},
+	{High: "BenchmarkServeMix/full", Low: "BenchmarkServeMix/nocache", Unit: "req/s", MinRatio: 3},
 	// ...without giving back tail latency: the baseline's p99 is at
 	// least as large as the tiered server's.
-	{"BenchmarkServeMix/nocache", "BenchmarkServeMix/full", "p99-ns", 1},
+	{High: "BenchmarkServeMix/nocache", Low: "BenchmarkServeMix/full", Unit: "p99-ns", MinRatio: 1},
 }
 
-// betterThroughput reports whether a is a better observation than b for
-// the given metric unit: higher for rates, lower for latencies.
-func betterThroughput(unit string, a, b float64) bool {
+// measure reads a gate unit from one result: ns/op or a custom metric.
+func measure(r Result, unit string) (float64, bool) {
+	if unit == "ns/op" {
+		return r.NsPerOp, true
+	}
+	v, ok := r.Extra[unit]
+	return v, ok
+}
+
+// better reports whether a is a better observation than b for the given
+// unit: higher for rates ("…/s"), lower for times and latencies.
+func better(unit string, a, b float64) bool {
 	if strings.HasSuffix(unit, "/s") {
 		return a > b
 	}
 	return a < b
 }
 
-// checkThroughput verifies every applicable throughput gate, with the
-// one-rerun noise filter described on throughputGates.
-func checkThroughput(snap *Snapshot, pkgs, benchtime string) []string {
-	byName := make(map[string]map[string]float64, len(snap.Results))
+// checkGates verifies every applicable gate against snap and returns one
+// description per failed gate. rerun runs one benchmark again for the
+// wall-clock noise filter; go test splits -bench on "/" before matching,
+// so the two sides of a gate cannot share one selector and rerun
+// separately.
+func checkGates(gates []gate, snap *Snapshot, rerun func(name string) (*Snapshot, error)) []string {
+	byName := make(map[string]Result, len(snap.Results))
 	for _, r := range snap.Results {
-		byName[r.Name] = r.Extra
+		byName[r.Name] = r
+	}
+	lookup := func(name, unit string) (float64, bool) {
+		r, ok := byName[name]
+		if !ok {
+			return 0, false
+		}
+		return measure(r, unit)
 	}
 	var failed []string
-	for _, g := range throughputGates {
-		high, okH := byName[g.High][g.Unit]
-		low, okL := byName[g.Low][g.Unit]
+	for _, g := range gates {
+		high, okH := lookup(g.High, g.Unit)
+		low, okL := lookup(g.Low, g.Unit)
 		if !okH || !okL {
 			continue
 		}
-		if low <= 0 || high < g.MinRatio*low {
+		holds := func() bool { return low > 0 && high >= g.MinRatio*low }
+		if !holds() && !g.Deterministic {
 			fmt.Printf("rerunning %s and %s to confirm %s shortfall\n", g.High, g.Low, g.Unit)
 			for _, name := range []string{g.High, g.Low} {
-				rerun, err := run(anchored(name), pkgs, 1, benchtime)
+				again, err := rerun(name)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "benchdiff: rerun:", err)
 					continue
 				}
-				for _, r := range rerun.Results {
-					v, ok := r.Extra[g.Unit]
+				for _, r := range again.Results {
+					v, ok := measure(r, g.Unit)
 					if !ok {
 						continue
 					}
-					if r.Name == g.High && betterThroughput(g.Unit, v, high) {
+					if r.Name == g.High && better(g.Unit, v, high) {
 						high = v
 					}
-					if r.Name == g.Low && betterThroughput(g.Unit, v, low) {
+					if r.Name == g.Low && better(g.Unit, v, low) {
 						low = v
 					}
 				}
 			}
 		}
-		if low <= 0 || high < g.MinRatio*low {
+		if !holds() {
 			failed = append(failed, fmt.Sprintf("%s %s (%.4g) is only %.2fx %s's (%.4g), want >=%.0fx",
 				g.High, g.Unit, high, high/low, g.Low, low, g.MinRatio))
 			continue
 		}
-		fmt.Printf("throughput gate passed: %s %s is %.1fx %s's (want >=%.0fx)\n",
-			g.High, g.Unit, high/low, g.Low, g.MinRatio)
-	}
-	return failed
-}
-
-// checkMetrics verifies every applicable metric gate against the fresh
-// measurements.
-func checkMetrics(snap *Snapshot) []string {
-	byName := make(map[string]map[string]float64, len(snap.Results))
-	for _, r := range snap.Results {
-		byName[r.Name] = r.Extra
-	}
-	var failed []string
-	for _, g := range metricGates {
-		high, okH := byName[g.High][g.Unit]
-		low, okL := byName[g.Low][g.Unit]
-		if !okH || !okL {
-			continue
-		}
-		if low <= 0 || high < g.MinRatio*low {
-			failed = append(failed, fmt.Sprintf("%s %s (%.4g) is only %.2fx %s's (%.4g), want >=%.0fx",
-				g.High, g.Unit, high, high/low, g.Low, low, g.MinRatio))
-			continue
-		}
-		fmt.Printf("metric gate passed: %s %s is %.1fx %s's (want >=%.0fx)\n",
+		fmt.Printf("gate passed: %s %s is %.1fx %s's (want >=%.0fx)\n",
 			g.High, g.Unit, high/low, g.Low, g.MinRatio)
 	}
 	return failed
@@ -342,53 +313,6 @@ func compatible(base, cur *Snapshot) bool {
 		return false
 	}
 	return base.CPUFeatures == "" || base.CPUFeatures == cur.CPUFeatures
-}
-
-// checkSpeedups verifies every applicable speedup gate, rerunning both
-// sides of a failing pair once (keeping each side's fastest time) before
-// declaring failure, mirroring the noise handling of retry.
-func checkSpeedups(snap *Snapshot, pkgs, benchtime string) []string {
-	byName := make(map[string]float64, len(snap.Results))
-	for _, r := range snap.Results {
-		byName[r.Name] = r.NsPerOp
-	}
-	var failed []string
-	for _, g := range speedupGates {
-		fast, okF := byName[g.Fast]
-		slow, okS := byName[g.Slow]
-		if !okF || !okS {
-			continue
-		}
-		if fast*g.MinRatio > slow {
-			fmt.Printf("rerunning %s and %s to confirm speedup shortfall\n", g.Fast, g.Slow)
-			// go test splits -bench on "/" before matching, so the two
-			// sub-benchmarks cannot share one alternation; rerun each side
-			// with its own anchored selector.
-			for _, name := range []string{g.Fast, g.Slow} {
-				rerun, err := run(anchored(name), pkgs, 1, benchtime)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "benchdiff: rerun:", err)
-					continue
-				}
-				for _, r := range rerun.Results {
-					if r.Name == g.Fast && r.NsPerOp < fast {
-						fast = r.NsPerOp
-					}
-					if r.Name == g.Slow && r.NsPerOp < slow {
-						slow = r.NsPerOp
-					}
-				}
-			}
-		}
-		if fast*g.MinRatio > slow {
-			failed = append(failed, fmt.Sprintf("%s is only %.2fx faster than %s (want >=%.0fx)",
-				g.Fast, slow/fast, g.Slow, g.MinRatio))
-			continue
-		}
-		fmt.Printf("speedup gate passed: %s is %.1fx faster than %s (want >=%.0fx)\n",
-			g.Fast, slow/fast, g.Slow, g.MinRatio)
-	}
-	return failed
 }
 
 // latestSnapshot picks the newest BENCH_*.json in the repository root by

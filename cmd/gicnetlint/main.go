@@ -12,9 +12,6 @@
 // Exit status is 1 when any finding survives //gicnet:allow suppressions.
 //
 //	gicnetlint [-root dir] [-analyzers a,b] [-json] [-tags purego]
-//	gicnetlint -write-baseline            # snapshot per-package file hashes
-//	gicnetlint -changed                   # lint only packages changed since
-//	                                      # the -baseline snapshot
 package main
 
 import (
@@ -32,26 +29,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	only := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	tags := flag.String("tags", "", "comma-separated extra build tags (like `go build -tags`)")
-	baseline := flag.String("baseline", "lint-baseline.json", "per-package file-hash snapshot, relative to -root")
-	writeBaseline := flag.Bool("write-baseline", false, "write a fresh snapshot to -baseline and exit")
-	changed := flag.Bool("changed", false, "lint only packages whose files differ from the -baseline snapshot")
 	flag.Parse()
-
-	baselinePath := *baseline
-	if !strings.HasPrefix(baselinePath, "/") {
-		baselinePath = *root + "/" + baselinePath
-	}
-	if *writeBaseline {
-		snap, err := lint.SnapshotModule(*root)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.WriteBaseline(baselinePath, snap); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gicnetlint: baseline of %d package(s) written to %s\n", len(snap), baselinePath)
-		return
-	}
 
 	opts := lint.LoadOptions{}
 	if *tags != "" {
@@ -60,26 +38,6 @@ func main() {
 				opts.Tags = append(opts.Tags, t)
 			}
 		}
-	}
-	if *changed {
-		stored, err := lint.ReadBaseline(baselinePath)
-		if err != nil {
-			fatal(fmt.Errorf("%w (run gicnetlint -write-baseline first)", err))
-		}
-		current, err := lint.SnapshotModule(*root)
-		if err != nil {
-			fatal(err)
-		}
-		diff := lint.ChangedPackages(stored, current)
-		if len(diff) == 0 {
-			fmt.Println("gicnetlint: no packages changed since baseline")
-			return
-		}
-		opts.Only = map[string]bool{}
-		for _, p := range diff {
-			opts.Only[p] = true
-		}
-		fmt.Printf("gicnetlint: %d changed package(s): %s\n", len(diff), strings.Join(diff, " "))
 	}
 
 	prog, err := lint.LoadModuleOpts(*root, opts)
@@ -108,11 +66,6 @@ func main() {
 	}
 
 	diags := lint.Run(prog, analyzers)
-	if *changed {
-		// Diagnostics in unchanged dependency packages were already vetted
-		// by the last full sweep; keep the changed-mode report focused.
-		diags = filterToPackages(diags, prog, opts.Only)
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -133,28 +86,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// filterToPackages keeps diagnostics whose file lives in one of the wanted
-// packages' directories.
-func filterToPackages(diags []lint.Diagnostic, prog *lint.Program, want map[string]bool) []lint.Diagnostic {
-	dirs := map[string]bool{}
-	for _, pkg := range prog.Pkgs {
-		if want[pkg.Path] {
-			dirs[pkg.Dir] = true
-		}
-	}
-	var out []lint.Diagnostic
-	for _, d := range diags {
-		dir := d.File
-		if i := strings.LastIndexByte(dir, '/'); i >= 0 {
-			dir = dir[:i]
-		}
-		if dirs[dir] {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -102,15 +102,15 @@ func (a *Analyzer) pairConnectivity(ctx context.Context, plan *failure.Plan, tri
 		return Connectivity{}, errors.New("core: trials must be positive")
 	}
 	net := a.World.Submarine
-	fromNodes, err := Resolve(net, from)
+	fromNodes, err := ResolveIDs(net, from)
 	if err != nil {
 		return Connectivity{}, err
 	}
-	toNodes, err := Resolve(net, to)
+	toNodes, err := ResolveIDs(net, to)
 	if err != nil {
 		return Connectivity{}, err
 	}
-	prob, err := sim.PairSurvival(ctx, plan, trials, seed, nodeIDs(fromNodes), nodeIDs(toNodes))
+	prob, err := sim.PairSurvival(ctx, plan, trials, seed, fromNodes, toNodes)
 	if err != nil {
 		return Connectivity{}, err
 	}
@@ -121,12 +121,18 @@ func (a *Analyzer) pairConnectivity(ctx context.Context, plan *failure.Plan, tri
 	}, nil
 }
 
-func nodeIDs(xs []int) []graph.NodeID {
+// ResolveIDs is Resolve as graph node IDs, the form the connectivity
+// queries take.
+func ResolveIDs(net *topology.Network, t Target) ([]graph.NodeID, error) {
+	xs, err := Resolve(net, t)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]graph.NodeID, len(xs))
 	for i, x := range xs {
 		out[i] = graph.NodeID(x)
 	}
-	return out
+	return out, nil
 }
 
 // CableFate describes one cable touching a target and its death chance.

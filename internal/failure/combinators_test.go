@@ -46,8 +46,10 @@ func TestOverlayBoundsProperty(t *testing.T) {
 		if math.IsNaN(aSeed) || math.IsNaN(bSeed) {
 			return true
 		}
-		a := math.Mod(math.Abs(aSeed), 1)
-		b := math.Mod(math.Abs(bSeed), 1)
+		// quick draws float64s as ±rand.Float64()*MaxFloat64, which are
+		// whole numbers; scaling back by MaxFloat64 spreads them over [0, 1].
+		a := math.Abs(aSeed) / math.MaxFloat64
+		b := math.Abs(bSeed) / math.MaxFloat64
 		m := Overlay{A: Uniform{P: a}, B: Uniform{P: b}}
 		p := m.RepeaterProb(n, 0)
 		// overlay is at least each component and at most 1

@@ -39,13 +39,6 @@ type LoadOptions struct {
 	// true). "purego" loads the pure-Go kernel variants instead of the
 	// assembly dispatch files.
 	Tags []string
-
-	// Only, when non-empty, restricts the load to the named import paths
-	// plus their transitive module-internal dependencies (typechecking a
-	// package requires its imports). The -changed mode of cmd/gicnetlint
-	// uses this so iterating on one package does not re-typecheck the
-	// whole module.
-	Only map[string]bool
 }
 
 // rawPkg is one parsed-but-not-yet-typechecked package.
@@ -67,8 +60,7 @@ func LoadModule(root string) (*Program, error) {
 	return LoadModuleOpts(root, LoadOptions{})
 }
 
-// LoadModuleOpts is LoadModule with explicit build tags and an optional
-// package subset.
+// LoadModuleOpts is LoadModule with explicit build tags.
 func LoadModuleOpts(root string, opts LoadOptions) (*Program, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -116,9 +108,6 @@ func LoadModuleOpts(root string, opts LoadOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(opts.Only) > 0 {
-		raws = subsetWithDeps(raws, opts.Only)
-	}
 	order, err := topoOrder(raws)
 	if err != nil {
 		return nil, err
@@ -136,38 +125,6 @@ func newRawPkg(importPath, dir string, files []*ast.File) *rawPkg {
 		}
 	}
 	return rp
-}
-
-// subsetWithDeps keeps the packages in want plus everything they import
-// (transitively) from the same load — typechecking needs the dependencies
-// even when only the wanted packages are analyzed.
-func subsetWithDeps(raws []*rawPkg, want map[string]bool) []*rawPkg {
-	byPath := map[string]*rawPkg{}
-	for _, rp := range raws {
-		byPath[rp.path] = rp
-	}
-	keep := map[string]bool{}
-	var visit func(path string)
-	visit = func(path string) {
-		rp, ok := byPath[path]
-		if !ok || keep[path] {
-			return
-		}
-		keep[path] = true
-		for dep := range rp.imports {
-			visit(dep)
-		}
-	}
-	for path := range want {
-		visit(path)
-	}
-	var out []*rawPkg
-	for _, rp := range raws {
-		if keep[rp.path] {
-			out = append(out, rp)
-		}
-	}
-	return out
 }
 
 // topoOrder sorts packages so each package's module-internal dependencies

@@ -140,8 +140,8 @@ func (a *Purecheck) Run(prog *Program) []Diagnostic {
 }
 
 // rootPkgLoaded reports whether the package a root's FullName refers to is
-// part of this load (partial -changed loads skip presence checks for
-// packages outside the load).
+// part of this load. Test fixture loads hold only a few packages, so
+// presence checks skip roots whose package is outside the load.
 func (a *Purecheck) rootPkgLoaded(prog *Program, root string) bool {
 	for _, pkg := range prog.Pkgs {
 		if strings.Contains(root, pkg.Path+".") {

@@ -9,9 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
+	"gicnet/internal/core"
 	"gicnet/internal/dataset"
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
@@ -101,24 +101,12 @@ func aggregate(net *topology.Network, cableDead graph.Bitset, labelOf func(i int
 
 // MeanFragmentation averages fragmentation over Monte Carlo trials.
 func MeanFragmentation(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64) (*Fragmentation, error) {
-	f, _, err := MeanFragmentationEst(net, m, spacingKm, trials, seed, nil)
-	return f, err
-}
-
-// MeanFragmentationEst is MeanFragmentation with an optional rare-event
-// estimator: with est != nil the trial blocks are drawn by the estimator
-// and every per-trial summary is scaled by its likelihood ratio, so the
-// returned means stay unbiased for the plan's own distribution even when
-// the draws are tilted toward catastrophe. The second return is the Kish
-// effective sample size of the weights (trials when est is nil). A nil
-// estimator reproduces MeanFragmentation draw for draw.
-func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, est sim.Estimator) (*Fragmentation, float64, error) {
 	if trials <= 0 {
-		return nil, 0, errors.New("partition: trials must be positive")
+		return nil, errors.New("partition: trials must be positive")
 	}
 	plan, err := failure.Compile(net, m, spacingKm)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// Per-trial components run on the plan's core contraction: the dead
 	// cable bitset is the query mask and only the at-risk frontier is
@@ -131,40 +119,25 @@ func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm floa
 	agg := &Fragmentation{RegionSplit: map[geo.Region]int{}}
 	regionTotals := map[geo.Region]float64{}
 	var comps, largest, isolated float64
-	var sumW, sumW2 float64
 	var batch failure.BatchScratch
 	batch.Grow(plan)
-	var logw []float64
-	if est != nil {
-		logw = make([]float64, failure.MaxBatch)
-	}
 	for t0 := 0; t0 < trials; t0 += failure.MaxBatch {
 		bn := trials - t0
 		if bn > failure.MaxBatch {
 			bn = failure.MaxBatch
 		}
-		if est != nil {
-			est.SampleBlock(plan, &batch, root, uint64(t0), bn, logw[:bn])
-		} else {
-			plan.SampleBatch(&batch, root, uint64(t0), bn)
-		}
+		plan.SampleBatch(&batch, root, uint64(t0), bn)
 		for b := 0; b < bn; b++ {
-			w := 1.0
-			if est != nil {
-				w = math.Exp(logw[b])
-			}
-			sumW += w
-			sumW2 += w * w
 			dead := batch.Row(b)
 			uf := scratch.ComponentsCore(cc, dead)
 			f := aggregate(net, dead, func(i int) int {
 				return uf.Find(int(cc.Super(graph.NodeID(i))))
 			})
-			comps += w * float64(f.Components)
-			largest += w * f.LargestFrac
-			isolated += w * float64(f.IsolatedNodes)
+			comps += float64(f.Components)
+			largest += f.LargestFrac
+			isolated += float64(f.IsolatedNodes)
 			for r, n := range f.RegionSplit {
-				regionTotals[r] += w * float64(n)
+				regionTotals[r] += float64(n)
 			}
 		}
 	}
@@ -175,11 +148,7 @@ func MeanFragmentationEst(net *topology.Network, m failure.Model, spacingKm floa
 	for r, total := range regionTotals {
 		agg.RegionSplit[r] = int(total/n + 0.5)
 	}
-	ess := n
-	if est != nil && sumW2 > 0 {
-		ess = sumW * sumW / sumW2
-	}
-	return agg, ess, nil
+	return agg, nil
 }
 
 // Candidate is a proposed new low-latitude cable.
@@ -198,8 +167,9 @@ type Candidate struct {
 // Recommend proposes up to n new cables between anchor pairs, favouring
 // low-latitude routes (both endpoints below the mid-band cut) that bridge
 // different regions, ranked by the connectivity benefit they add between
-// the two probe targets under the model. It mutates nothing: each
-// candidate is evaluated on a copy of the network.
+// the two probe targets under the model. Probes take core.Resolve's
+// target grammar (country code, "region:<name>" or "city:<name>"). It
+// mutates nothing: each candidate is evaluated on a copy of the network.
 func Recommend(w *dataset.World, m failure.Model, spacingKm float64, trials int, seed uint64, n int, probeA, probeB string) ([]Candidate, error) {
 	if n <= 0 {
 		return nil, errors.New("partition: need n > 0")
@@ -301,7 +271,7 @@ func newAugmentGeometry(net *topology.Network, probeA, probeB string) *augmentGe
 	return &augmentGeometry{
 		net:     net,
 		nearest: map[string]int{},
-		probes:  [2][]geo.Coord{coordsOf(net, nodesOf(net, probeA)), coordsOf(net, nodesOf(net, probeB))},
+		probes:  [2][]geo.Coord{probeCoords(net, probeA), probeCoords(net, probeB)},
 		dist:    [2]map[string]float64{{}, {}},
 	}
 }
@@ -340,8 +310,12 @@ func (b *byScore) Swap(i, j int) {
 	b.scores[i], b.scores[j] = b.scores[j], b.scores[i]
 }
 
-// coordsOf extracts coordinates of node indices with coordinates.
-func coordsOf(net *topology.Network, nodes []int) []geo.Coord {
+// probeCoords resolves a probe target to the coordinates of its located
+// nodes. A target that matches no node has no coordinates, which minDist
+// reads as infinitely far; Recommend has already rejected such probes
+// through pairSurvival.
+func probeCoords(net *topology.Network, target string) []geo.Coord {
+	nodes, _ := core.Resolve(net, core.Target(target))
 	out := make([]geo.Coord, 0, len(nodes))
 	for _, n := range nodes {
 		if net.Nodes[n].HasCoord {
@@ -441,48 +415,26 @@ func nearestOfCountry(net *topology.Network, a dataset.Anchor) int {
 
 // pairSurvival is a local Monte Carlo of target-set connectivity (the
 // core package owns the richer version; this one works on arbitrary
-// networks including augmented copies). The trial loop is sim.PairSurvival
-// on the plan's core contraction.
-func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, countryA, countryB string) (float64, error) {
+// networks including augmented copies, so the probes resolve against
+// net itself). The trial loop is sim.PairSurvival on the plan's core
+// contraction.
+func pairSurvival(net *topology.Network, m failure.Model, spacingKm float64, trials int, seed uint64, probeA, probeB string) (float64, error) {
 	if trials <= 0 {
 		return 0, errors.New("partition: trials must be positive")
 	}
-	a := nodeIDsOf(net, countryA)
-	b := nodeIDsOf(net, countryB)
-	if len(a) == 0 || len(b) == 0 {
-		return 0, fmt.Errorf("partition: no nodes for %q or %q", countryA, countryB)
+	a, err := core.ResolveIDs(net, core.Target(probeA))
+	if err != nil {
+		return 0, err
+	}
+	b, err := core.ResolveIDs(net, core.Target(probeB))
+	if err != nil {
+		return 0, err
 	}
 	plan, err := failure.Compile(net, m, spacingKm)
 	if err != nil {
 		return 0, err
 	}
 	return sim.PairSurvival(context.Background(), plan, trials, seed, a, b)
-}
-
-// nodeIDsOf is nodesOf as graph node IDs, for the scratch connectivity
-// queries.
-func nodeIDsOf(net *topology.Network, target string) []graph.NodeID {
-	xs := nodesOf(net, target)
-	out := make([]graph.NodeID, len(xs))
-	for i, x := range xs {
-		out[i] = graph.NodeID(x)
-	}
-	return out
-}
-
-// nodesOf resolves a country code or "region:<name>" target.
-func nodesOf(net *topology.Network, target string) []int {
-	if len(target) > 7 && target[:7] == "region:" {
-		want := geo.Region(target[7:])
-		var out []int
-		for i, nd := range net.Nodes {
-			if nd.HasCoord && geo.RegionOf(nd.Coord) == want {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	return net.NodesOfCountry(target)
 }
 
 // Compare runs MeanFragmentation before and after adding the candidates,

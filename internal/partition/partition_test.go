@@ -155,6 +155,19 @@ func TestPairSurvivalTargets(t *testing.T) {
 	}
 }
 
+// TestRecommendCityProbe checks that bridge probes take the same target
+// grammar as the rest of the system: a "city:" probe resolves and yields
+// ranked candidates.
+func TestRecommendCityProbe(t *testing.T) {
+	cands, err := Recommend(world(t), failure.S1(), 150, 5, 1, 2, "city:shanghai", "us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) == 0 {
+		t.Fatal("city probe returned no candidates")
+	}
+}
+
 func TestWithCandidateDoesNotMutateOriginal(t *testing.T) {
 	net := world(t).Submarine
 	nodesBefore, cablesBefore := len(net.Nodes), len(net.Cables)
@@ -275,8 +288,8 @@ func recommendReference(w *dataset.World, m failure.Model, spacingKm float64, tr
 			})
 		}
 	}
-	probeACoords := coordsOf(net, nodesOf(net, probeA))
-	probeBCoords := coordsOf(net, nodesOf(net, probeB))
+	probeACoords := probeCoords(net, probeA)
+	probeBCoords := probeCoords(net, probeB)
 	prelim := make([]float64, len(cands))
 	for i := range cands {
 		tmp, err := withCandidate(net, cands[i])
@@ -336,7 +349,7 @@ func TestAugmentGeometryMatchesDirect(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			probeA, probeB := targets[rng.Intn(len(targets))], targets[rng.Intn(len(targets))]
 			geom := newAugmentGeometry(net, probeA, probeB)
-			sides := [2][]geo.Coord{coordsOf(net, nodesOf(net, probeA)), coordsOf(net, nodesOf(net, probeB))}
+			sides := [2][]geo.Coord{probeCoords(net, probeA), probeCoords(net, probeB)}
 			for q := 0; q < 2*len(anchors); q++ {
 				a := anchors[rng.Intn(len(anchors))]
 				if got, want := geom.backhaul(a), nearestOfCountry(net, a); got != want {

@@ -8,7 +8,6 @@ import (
 
 	"gicnet/internal/failure"
 	"gicnet/internal/geo"
-	"gicnet/internal/partition"
 	"gicnet/internal/sim"
 	"gicnet/internal/topology"
 )
@@ -274,30 +273,4 @@ func TestVarianceReductionAtRareP(t *testing.T) {
 	}
 	t.Logf("plain tail=%v, is-qmc tail=%v ci=[%v,%v] ess=%.0f",
 		plain[0].TailProb, is[0].TailProb, is[0].TailCI.Lo, is[0].TailCI.Hi, is[0].ESS)
-}
-
-// TestMeanFragmentationEstMatchesPlain: the weighted fragmentation loop
-// with a unit-weight estimator (lambda = 1) must reproduce the plain
-// MeanFragmentation aggregate exactly — same draws, weights all one.
-func TestMeanFragmentationEstMatchesPlain(t *testing.T) {
-	net := testNet()
-	m := failure.Uniform{P: 1e-3}
-	want, err := partition.MeanFragmentation(net, m, 150, 300, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ess, err := partition.MeanFragmentationEst(net, m, 150, 300, 11, NewIS(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ess != 300 {
-		t.Fatalf("lambda=1 ESS = %v, want 300", ess)
-	}
-	if got.Components != want.Components || got.IsolatedNodes != want.IsolatedNodes {
-		t.Fatalf("lambda=1 fragmentation %+v differs from plain %+v", got, want)
-	}
-	//gicnet:allow floatcmp identical draws with unit weights must aggregate identically
-	if got.LargestFrac != want.LargestFrac {
-		t.Fatalf("lambda=1 LargestFrac %v != plain %v", got.LargestFrac, want.LargestFrac)
-	}
 }

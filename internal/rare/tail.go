@@ -14,6 +14,12 @@ import (
 // away from the simulation's own trial streams.
 const bootSalt = 0x626f6f7473747261 // "bootstra"
 
+// The tail CI is a 95% weighted bootstrap interval over 200 replicates.
+const (
+	tailLevel     = 0.95
+	tailResamples = 200
+)
+
 // TailConfig configures a rare-event probability sweep — the Figure 6
 // axis continued past where plain Monte Carlo stops resolving anything.
 type TailConfig struct {
@@ -25,10 +31,6 @@ type TailConfig struct {
 	Seed uint64
 	// Workers is the simulation worker budget (0 = GOMAXPROCS).
 	Workers int
-	// Level is the CI coverage; 0 means 0.95.
-	Level float64
-	// Resamples is the bootstrap replicate count; 0 means 200.
-	Resamples int
 	// Threshold defines the tail event: a trial counts when at least
 	// this many cables die. 0 means 2 — "more than an isolated loss",
 	// the smallest event that is genuinely rare at small p.
@@ -50,7 +52,7 @@ type TailPoint struct {
 	NodeMean  float64
 	// TailProb estimates P(CablesFailed >= Threshold).
 	TailProb float64
-	// TailCI is the bootstrap interval around TailProb.
+	// TailCI is the 95% bootstrap interval around TailProb.
 	TailCI stats.CI
 	// ESS is Kish's effective sample size of the trial weights.
 	ESS float64
@@ -68,14 +70,6 @@ type TailPoint struct {
 // and worker-count independent; the bootstrap streams are split from the
 // same seed under a distinct salt.
 func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []float64) ([]TailPoint, error) {
-	level := cfg.Level
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
-	resamples := cfg.Resamples
-	if resamples <= 0 {
-		resamples = 200
-	}
 	thresh := cfg.Threshold
 	if thresh <= 0 {
 		thresh = 2
@@ -112,7 +106,7 @@ func TailSweep(ctx context.Context, net *topology.Network, cfg TailConfig, ps []
 			sumW += ws[i]
 		}
 		rng := root.SplitAt(bootSalt ^ uint64(k))
-		ci, err := stats.WeightedBootstrapCI(vals, ws, level, resamples, &rng)
+		ci, err := stats.WeightedBootstrapCI(vals, ws, tailLevel, tailResamples, &rng)
 		if err != nil {
 			return nil, err
 		}

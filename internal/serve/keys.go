@@ -39,9 +39,6 @@ type batchKey struct {
 	seed       uint64
 	estimator  string
 	crossLayer bool
-	// uniq is zero when batching is on; a unique nonzero salt otherwise,
-	// which degrades every batch to a single request.
-	uniq uint64
 }
 
 // batchKey projects the result identity onto its coalescing class. Sits

@@ -20,14 +20,13 @@ import (
 
 // Options shapes one load-test run.
 type Options struct {
-	// Requests is the total request count (default 512).
+	// Requests is the total request count (default 512). Every request
+	// goes to the server's default world.
 	Requests int
-	// Concurrency is the number of client goroutines (default 8).
-	Concurrency int
-	// WorldSeeds cycles requests across the server's pinned fleet; leave
-	// nil to aim everything at the server's default world.
-	WorldSeeds []uint64
 }
+
+// concurrency is the number of client goroutines Run drives.
+const concurrency = 8
 
 // Report is one run's measurements.
 type Report struct {
@@ -47,83 +46,75 @@ type Report struct {
 
 // template is one example-workload shape: a family of requests indexed
 // by a draw number.
-type template func(worldSeed uint64, draw int) serve.Request
+type template func(draw int) serve.Request
 
 // templates mirrors the repo's 8 example workloads (examples/) as
 // serving request families. Small parameter grids repeat across draws,
 // which is exactly the locality a scenario-serving tier exists for.
 var templates = []template{
 	// quickstart: the paper's headline S1/S2 comparison at 150 km.
-	func(ws uint64, d int) serve.Request {
+	func(d int) serve.Request {
 		models := []string{"s1", "s2"}
 		nets := []string{"submarine", "intertubes", "itu"}
-		return serve.Request{WorldSeed: ws, Network: nets[d%3], Model: models[d%2], SpacingKm: 150, Trials: 256, Seed: 1}
+		return serve.Request{Network: nets[d%3], Model: models[d%2], SpacingKm: 150, Trials: 256, Seed: 1}
 	},
 	// model-sensitivity: model family across repeater spacings.
-	func(ws uint64, d int) serve.Request {
+	func(d int) serve.Request {
 		spacings := []float64{50, 100, 150}
 		models := []string{"s1", "s2"}
-		return serve.Request{WorldSeed: ws, Network: "submarine", Model: models[d%2], SpacingKm: spacings[d%3], Trials: 256, Seed: 2}
+		return serve.Request{Network: "submarine", Model: models[d%2], SpacingKm: spacings[d%3], Trials: 256, Seed: 2}
 	},
 	// country-impact: repeated S1 scenarios, varying trial seeds.
-	func(ws uint64, d int) serve.Request {
-		return serve.Request{WorldSeed: ws, Network: "submarine", Model: "s1", SpacingKm: 150, Trials: 128, Seed: uint64(3 + d%4)}
+	func(d int) serve.Request {
+		return serve.Request{Network: "submarine", Model: "s1", SpacingKm: 150, Trials: 128, Seed: uint64(3 + d%4)}
 	},
 	// recovery-timeline: small single-storm style draws.
-	func(ws uint64, d int) serve.Request {
-		return serve.Request{WorldSeed: ws, Network: "submarine", Model: "s1", SpacingKm: 150, Trials: 64, Seed: uint64(10 + d%8)}
+	func(d int) serve.Request {
+		return serve.Request{Network: "submarine", Model: "s1", SpacingKm: 150, Trials: 64, Seed: uint64(10 + d%8)}
 	},
 	// sweep (shutdown-planning): a uniform-p grid on one seed — the
 	// coalescing target: concurrent points share plan family and arena.
-	func(ws uint64, d int) serve.Request {
-		return serve.Request{WorldSeed: ws, Network: "submarine", Model: "uniform", P: 0.05 * float64(1+d%10), SpacingKm: 100, Trials: 256, Seed: 4}
+	func(d int) serve.Request {
+		return serve.Request{Network: "submarine", Model: "uniform", P: 0.05 * float64(1+d%10), SpacingKm: 100, Trials: 256, Seed: 4}
 	},
 	// satellite-exposure / rare-event: tilted importance sampling at
 	// small p.
-	func(ws uint64, d int) serve.Request {
+	func(d int) serve.Request {
 		ps := []float64{0.001, 0.002, 0.005}
-		return serve.Request{WorldSeed: ws, Network: "submarine", Model: "uniform", P: ps[d%3], SpacingKm: 100, Trials: 256, Seed: 5, Estimator: "is"}
+		return serve.Request{Network: "submarine", Model: "uniform", P: ps[d%3], SpacingKm: 100, Trials: 256, Seed: 5, Estimator: "is"}
 	},
 	// traffic-shift: QMC variance-reduction runs.
-	func(ws uint64, d int) serve.Request {
-		return serve.Request{WorldSeed: ws, Network: "intertubes", Model: "uniform", P: 0.1 * float64(1+d%2), SpacingKm: 100, Trials: 128, Seed: 6, Estimator: "qmc"}
+	func(d int) serve.Request {
+		return serve.Request{Network: "intertubes", Model: "uniform", P: 0.1 * float64(1+d%2), SpacingKm: 100, Trials: 128, Seed: 6, Estimator: "qmc"}
 	},
 	// topology-design: alternative-network what-ifs.
-	func(ws uint64, d int) serve.Request {
+	func(d int) serve.Request {
 		nets := []string{"intertubes", "itu"}
-		return serve.Request{WorldSeed: ws, Network: nets[d%2], Model: "uniform", P: 0.1 * float64(1+d%5), SpacingKm: 100, Trials: 128, Seed: 7}
+		return serve.Request{Network: nets[d%2], Model: "uniform", P: 0.1 * float64(1+d%5), SpacingKm: 100, Trials: 128, Seed: 7}
 	},
 }
 
 // Mix expands opts into the deterministic request list: templates are
 // interleaved round-robin and each template walks its own draw counter,
-// so the mix for a given (Requests, WorldSeeds) is always the same.
+// so the mix for a given Requests is always the same.
 func Mix(opts Options) []serve.Request {
 	n := opts.Requests
 	if n <= 0 {
 		n = 512
 	}
-	seeds := opts.WorldSeeds
-	if len(seeds) == 0 {
-		seeds = []uint64{0} // server default world
-	}
 	reqs := make([]serve.Request, 0, n)
 	draws := make([]int, len(templates))
 	for i := 0; i < n; i++ {
 		t := i % len(templates)
-		reqs = append(reqs, templates[t](seeds[i%len(seeds)], draws[t]))
+		reqs = append(reqs, templates[t](draws[t]))
 		draws[t]++
 	}
 	return reqs
 }
 
-// Run fires the mix at srv from Concurrency goroutines and measures.
+// Run fires the mix at srv from concurrency goroutines and measures.
 func Run(ctx context.Context, srv *serve.Server, opts Options) (Report, error) {
 	reqs := Mix(opts)
-	conc := opts.Concurrency
-	if conc <= 0 {
-		conc = 8
-	}
 	lats := make([]time.Duration, len(reqs))
 	fps := make([]uint64, len(reqs))
 	var errCount atomic.Uint64
@@ -132,7 +123,7 @@ func Run(ctx context.Context, srv *serve.Server, opts Options) (Report, error) {
 
 	start := time.Now() //gicnet:allow determinism load-test wall-clock measurement, not simulation state
 	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
+	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

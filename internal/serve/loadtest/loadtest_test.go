@@ -49,7 +49,7 @@ func TestMixIsDeterministic(t *testing.T) {
 // no answer), and the tiered server actually exercises its tiers.
 func TestSmoke(t *testing.T) {
 	w := testWorld(t)
-	opts := loadtest.Options{Requests: 192, Concurrency: 8}
+	opts := loadtest.Options{Requests: 192}
 
 	full, err := serve.New(serve.Config{Worlds: []*dataset.World{w}, Shards: 2, WorkersPerShard: 2})
 	if err != nil {

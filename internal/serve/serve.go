@@ -23,7 +23,6 @@ import (
 
 	"gicnet/internal/crosslayer"
 	"gicnet/internal/dataset"
-	"gicnet/internal/rare"
 	"gicnet/internal/routing"
 	"gicnet/internal/sim"
 	"gicnet/internal/topology"
@@ -122,12 +121,9 @@ type Config struct {
 	// Worlds pins pre-generated worlds, keyed by their embedded Seed.
 	Worlds []*dataset.World
 	// WorldSeeds generates and pins additional worlds (the
-	// generator-seed sensitivity fleet). Seeds already pinned via Worlds
-	// are skipped.
+	// generator-seed sensitivity fleet) with the calibrated generator
+	// defaults. Seeds already pinned via Worlds are skipped.
 	WorldSeeds []uint64
-	// WorldConfig overrides the generator configuration for WorldSeeds;
-	// nil uses the calibrated defaults.
-	WorldConfig *dataset.WorldConfig
 	// Shards partitions the fleet; each (world, network) pair is owned
 	// by exactly one shard (default 4).
 	Shards int
@@ -138,20 +134,12 @@ type Config struct {
 	ResultCacheCap int
 	// PlanCacheCap bounds the per-shard compiled-plan tier (default 64).
 	PlanCacheCap int
-	// SimWorkers is the per-run trial parallelism handed to the engine;
-	// serving concurrency comes from shards, so this defaults to 1.
-	SimWorkers int
 	// MaxTrials rejects runaway requests (default 1<<20).
 	MaxTrials int
 	// Baseline disables every serving optimisation: each request runs a
 	// cold sim.Run with fresh per-request state. It exists so load tests
-	// can price the tiers; it implies the three Disable switches.
+	// can price the tiers.
 	Baseline bool
-	// DisableCache, DisableDedup and DisableBatch switch off single
-	// tiers for ablation tests.
-	DisableCache bool
-	DisableDedup bool
-	DisableBatch bool
 }
 
 // netEntry is one pinned network with its serving-time immutables
@@ -194,7 +182,6 @@ type Server struct {
 	rootCtx    context.Context
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
-	uniq       atomic.Uint64 // batch-key salt when batching is disabled
 	closed     atomic.Bool
 }
 
@@ -213,24 +200,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PlanCacheCap <= 0 {
 		cfg.PlanCacheCap = 64
 	}
-	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = 1
-	}
 	if cfg.MaxTrials <= 0 {
 		cfg.MaxTrials = 1 << 20
-	}
-	if cfg.Baseline {
-		cfg.DisableCache, cfg.DisableDedup, cfg.DisableBatch = true, true, true
 	}
 
 	srv := &Server{
 		cfg:    cfg,
 		worlds: make(map[uint64]*worldEntry),
-		ests: map[string]sim.Estimator{
-			"is":     rare.NewIS(0),
-			"is-qmc": rare.NewISQMC(0),
-			"qmc":    rare.NewQMC(),
-		},
+		ests:   make(map[string]sim.Estimator, len(estimatorNames)),
+	}
+	for _, name := range estimatorNames {
+		srv.ests[name] = newEstimator(name)
 	}
 	for _, w := range cfg.Worlds {
 		if err := srv.pinWorld(w); err != nil {
@@ -238,9 +218,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	wcfg := dataset.DefaultWorldConfig()
-	if cfg.WorldConfig != nil {
-		wcfg = *cfg.WorldConfig
-	}
 	for _, seed := range cfg.WorldSeeds {
 		if _, ok := srv.worlds[seed]; ok {
 			continue
@@ -428,36 +405,27 @@ func (srv *Server) Do(ctx context.Context, req Request) (*Response, error) {
 
 	s.mu.Lock()
 	s.stats.Requests++
-	if !srv.cfg.DisableCache {
-		if r, ok := s.results.get(key); ok {
-			s.stats.Results.Hits++
-			s.mu.Unlock()
-			out := *r
-			out.Provenance = ProvCache
-			out.BatchSize = 0
-			return &out, nil
-		}
-		s.stats.Results.Misses++
+	if r, ok := s.results.get(key); ok {
+		s.stats.Results.Hits++
+		s.mu.Unlock()
+		out := *r
+		out.Provenance = ProvCache
+		out.BatchSize = 0
+		return &out, nil
 	}
-	if !srv.cfg.DisableDedup {
-		if c, ok := s.inflight[key]; ok {
-			s.stats.Dedup++
-			s.mu.Unlock()
-			return joinCall(ctx, c)
-		}
+	s.stats.Results.Misses++
+	if c, ok := s.inflight[key]; ok {
+		s.stats.Dedup++
+		s.mu.Unlock()
+		return joinCall(ctx, c)
 	}
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrServerClosed
 	}
 	c := &call{req: req, key: key, done: make(chan struct{})}
-	if !srv.cfg.DisableDedup {
-		s.inflight[key] = c
-	}
+	s.inflight[key] = c
 	bk := key.batchKey()
-	if srv.cfg.DisableBatch {
-		bk.uniq = srv.uniq.Add(1)
-	}
 	if _, queued := s.pending[bk]; !queued {
 		s.order = append(s.order, bk)
 	}

@@ -121,7 +121,7 @@ func (s *shard) compute(req Request, key resultKey, arena *sim.Arena) (*Response
 		SpacingKm: key.spacingKm,
 		Trials:    key.trials,
 		Seed:      key.seed,
-		Workers:   srv.cfg.SimWorkers,
+		Workers:   1,                       // serving concurrency comes from shards
 		Estimator: srv.ests[key.estimator], // nil on the plain path
 	}
 	if key.crossLayer {
@@ -147,8 +147,8 @@ func (s *shard) computeBaseline(ctx context.Context, req Request, key resultKey)
 		SpacingKm: key.spacingKm,
 		Trials:    key.trials,
 		Seed:      key.seed,
-		Workers:   srv.cfg.SimWorkers,
-		Estimator: freshEstimator(key.estimator),
+		Workers:   1,
+		Estimator: newEstimator(key.estimator),
 	}
 	if key.crossLayer {
 		var err error
@@ -198,13 +198,11 @@ func (s *shard) finish(c *call, resp *Response, err error) {
 	s.mu.Lock()
 	if err != nil {
 		s.stats.Errors++
-	} else if !s.srv.cfg.DisableCache {
+	} else {
 		cached := *resp
 		s.results.put(c.key, &cached)
 	}
-	if !s.srv.cfg.DisableDedup {
-		delete(s.inflight, c.key)
-	}
+	delete(s.inflight, c.key)
 	s.mu.Unlock()
 	c.resp, c.err = resp, err
 	close(c.done)
@@ -244,10 +242,15 @@ func modelFor(key resultKey) failure.Model {
 	}
 }
 
-// freshEstimator builds an unshared estimator instance for the baseline
-// path, so pricing runs get no benefit from another request's compiled
+// estimatorNames lists the request estimator names in canonical order.
+var estimatorNames = []string{"is", "is-qmc", "qmc"}
+
+// newEstimator builds a fresh estimator instance for a request estimator
+// name, or nil for "" (plain Monte Carlo) and unknown names. New calls it
+// once per name for the shared instances; the baseline path calls it per
+// request, so pricing runs get no benefit from another request's compiled
 // tilt state.
-func freshEstimator(name string) sim.Estimator {
+func newEstimator(name string) sim.Estimator {
 	switch name {
 	case "is":
 		return rare.NewIS(0)

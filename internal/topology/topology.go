@@ -430,16 +430,17 @@ func (n *Network) CablesWithoutRepeaters(spacingKm float64) int {
 
 // MeanRepeatersPerCable returns the average repeater count per cable at the
 // given spacing (the paper reports 22.3 submarine / 1.7 Intertubes / 0.63
-// ITU at 150 km).
+// ITU at 150 km). It sums in float64: at spacings where the counts
+// saturate at math.MaxInt, an int sum would overflow.
 func (n *Network) MeanRepeatersPerCable(spacingKm float64) float64 {
 	if len(n.Cables) == 0 {
 		return 0
 	}
-	total := 0
+	total := 0.0
 	for i := range n.Cables {
-		total += n.Cables[i].RepeaterCount(spacingKm)
+		total += float64(n.Cables[i].RepeaterCount(spacingKm))
 	}
-	return float64(total) / float64(len(n.Cables))
+	return total / float64(len(n.Cables))
 }
 
 // NodesOfCountry returns indices of nodes in the given country.

@@ -224,6 +224,11 @@ func TestCablesWithoutRepeatersAndMean(t *testing.T) {
 	if got := n.MeanRepeatersPerCable(600); math.Abs(got-want) > 1e-12 {
 		t.Errorf("MeanRepeatersPerCable = %v, want %v", got, want)
 	}
+	// At 1e-300 km every cable's count saturates at math.MaxInt; the mean
+	// must saturate with them, not wrap around.
+	if got := n.MeanRepeatersPerCable(1e-300); got != float64(math.MaxInt) {
+		t.Errorf("MeanRepeatersPerCable(1e-300) = %v, want %v", got, float64(math.MaxInt))
+	}
 }
 
 func TestMeanRepeatersEmptyNetwork(t *testing.T) {
